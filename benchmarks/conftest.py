@@ -56,15 +56,15 @@ def fresh_runner():
     Installing a new runner isolates each bench's in-process memo (so
     one bench cannot serve another's cells and skew its timing) while
     still honouring ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` from the
-    environment.  Yields the runner so benches can report cache stats.
+    environment (parsed as :func:`~repro.runner.get_default_runner`
+    does).  Yields the runner so benches can report cache stats.
     """
-    import os
-
     from repro.runner import ExperimentRunner, set_default_runner
+    from repro.util.env import env_int, env_str
 
     runner = ExperimentRunner(
-        jobs=int(os.environ.get("REPRO_JOBS", "1") or 1),
-        cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
+        jobs=env_int("REPRO_JOBS", 1, minimum=1),
+        cache_dir=env_str("REPRO_CACHE_DIR") or None,
     )
     previous = set_default_runner(runner)
     yield runner

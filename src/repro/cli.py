@@ -27,16 +27,6 @@ prefix simulate it once and fork from a frozen snapshot;
 ``--no-warm-start`` re-simulates every warm-up instead.  Results are
 bit-identical regardless of job count, cache state, or warm-start mode.
 
-``--fabric N`` (or ``REPRO_FABRIC=N``) replaces the static pool with
-the work-stealing execution fabric (:mod:`repro.runner.fabric`): the
-batch is materialized into a durable sqlite lease queue, N local
-workers lease whole warm-start groups with heartbeats, and crashed
-workers' leases expire and are stolen.  ``--fabric-queue PATH`` puts
-the queue at a shared path so additional ``repro worker --queue PATH``
-processes -- including ones on other hosts with access to the same
-file -- join the same batch.  Results stay bit-identical to serial
-execution regardless of placement or steal order.
-
 ``--dry-run`` plans instead of executing: each experiment prints the
 cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
@@ -301,22 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 1, serial)",
     )
     parser.add_argument(
-        "--fabric", type=int, default=None, metavar="N",
-        help="dispatch cache-missing cells through the work-stealing "
-             "fabric with N broker-spawned local workers (default: "
-             "REPRO_FABRIC, else off); whole warm-start groups are "
-             "leased from a durable sqlite queue, and a crashed "
-             "worker's lease expires and is stolen -- results stay "
-             "bit-identical to serial execution",
-    )
-    parser.add_argument(
-        "--fabric-queue", type=pathlib.Path, default=None, metavar="PATH",
-        help="lease-queue path for --fabric (default: REPRO_FABRIC_QUEUE, "
-             "else a private temporary file); point it at a shared "
-             "location and start 'repro worker --queue PATH' elsewhere "
-             "to add stealing workers, even on other hosts",
-    )
-    parser.add_argument(
         "--dry-run", action="store_true",
         help="plan instead of executing: print each experiment's cells "
              "(to execute / cache hits / memo hits) and the warm-up "
@@ -393,7 +367,6 @@ def _configure_logging(*, verbose: bool = False, quiet: bool = False) -> None:
 
 def _make_runner(args):  # deferred import keeps `--help` fast
     from repro.runner import ExperimentRunner, check_jobs, default_cache_dir
-    from repro.util.env import env_int, env_str
     # Validated here rather than via an argparse type callable:
     # ValidationError is a ValueError, which argparse would swallow into
     # a bare exit-2 usage message instead of naming flag and value.
@@ -404,15 +377,8 @@ def _make_runner(args):  # deferred import keeps `--help` fast
         cache_dir = args.cache_dir
     else:
         cache_dir = default_cache_dir()
-    fabric = args.fabric
-    if fabric is None:
-        fabric = env_int("REPRO_FABRIC", 0, minimum=0)
-    fabric_queue = args.fabric_queue
-    if fabric_queue is None:
-        fabric_queue = env_str("REPRO_FABRIC_QUEUE") or None
     return ExperimentRunner(jobs=args.jobs, cache_dir=cache_dir,
                             warm_start=not args.no_warm_start,
-                            fabric=fabric, fabric_queue=fabric_queue,
                             dry_run=args.dry_run)
 
 
@@ -684,63 +650,10 @@ def _obs_main(argv) -> int:
     return 0
 
 
-def _worker_cli(argv) -> int:
-    """The ``repro worker`` subcommand: one external fabric worker.
-
-    Attaches to a lease queue (``--queue``), leases whole warm-start
-    groups, heartbeats them while executing, and exits when the broker
-    closes the queue.  Run it anywhere that can open the queue file --
-    extra cores on the same host, or another host sharing the path --
-    and it steals work from the same batches as the broker's own
-    workers.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description="Serve an execution-fabric lease queue "
-                    "(see 'repro <experiment> --fabric').",
-    )
-    parser.add_argument(
-        "--queue", type=pathlib.Path, required=True, metavar="PATH",
-        help="the lease-queue sqlite file (the broker's --fabric-queue)",
-    )
-    parser.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker identity recorded with each result "
-             "(default: hostname:pid)",
-    )
-    parser.add_argument(
-        "--ttl", type=float, default=None, metavar="SECONDS",
-        help="lease time-to-live; must match the broker's expectations "
-             "loosely (default: the fabric default)",
-    )
-    parser.add_argument(
-        "--once", action="store_true",
-        help="drain currently leasable work and exit instead of waiting "
-             "for the queue to close",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="debug logging",
-    )
-    args = parser.parse_args(argv)
-    _configure_logging(verbose=args.verbose)
-    from repro.runner.fabric import DEFAULT_LEASE_TTL, worker_main
-
-    ttl = DEFAULT_LEASE_TTL if args.ttl is None else args.ttl
-    _log.info("[worker %s serving %s]",
-              args.id or "(hostname:pid)", args.queue)
-    served = worker_main(args.queue, worker_id=args.id, ttl=ttl,
-                         once=args.once)
-    _log.info("[worker done: served %d groups]", served)
-    return 0
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return _worker_cli(argv[1:])
     args = build_parser().parse_args(argv)
     _configure_logging(verbose=args.verbose, quiet=args.quiet)
     if args.experiment == "list":

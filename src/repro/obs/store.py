@@ -467,7 +467,7 @@ class ExperimentStore:
 
         Includes the executing worker (``host:pid``), so straggler skew
         is attributable: a tail dominated by one worker id points at a
-        slow host or an unlucky lease, not at the scenarios themselves.
+        slow host or a loaded worker, not at the scenarios themselves.
         """
         return self.query(
             "SELECT substr(c.key, 1, 12) AS key, COALESCE(e.name, '-')"

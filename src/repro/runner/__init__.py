@@ -28,7 +28,6 @@ from repro.runner.cache import (
 )
 from repro.runner.cells import (
     Cell,
-    CellOutcome,
     CellResult,
     DeploymentSpec,
     GroupResult,
@@ -36,17 +35,8 @@ from repro.runner.cells import (
     execute_cell,
     execute_cell_group,
     goodput_rate,
-    iter_cell_group,
     measured_seconds,
     warmup_key,
-)
-from repro.runner.fabric import (
-    DEFAULT_LEASE_TTL,
-    FabricBroker,
-    FabricError,
-    LeaseQueue,
-    local_worker_id,
-    worker_main,
 )
 from repro.runner.planner import (
     PlannedPoint,
@@ -69,17 +59,12 @@ from repro.runner.runner import (
 
 __all__ = [
     "Cell",
-    "CellOutcome",
     "CellResult",
     "CellTiming",
-    "DEFAULT_LEASE_TTL",
     "DeploymentSpec",
     "DryRunPlan",
     "ExperimentRunner",
-    "FabricBroker",
-    "FabricError",
     "GroupResult",
-    "LeaseQueue",
     "PlanEntry",
     "PlannedPoint",
     "PlannedSweep",
@@ -97,11 +82,8 @@ __all__ = [
     "fast_mode",
     "get_default_runner",
     "goodput_rate",
-    "iter_cell_group",
-    "local_worker_id",
     "measured_seconds",
     "run_planned_sweep",
     "set_default_runner",
     "warmup_key",
-    "worker_main",
 ]

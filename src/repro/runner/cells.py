@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.attack import PulseTrain
 from repro.sim.convergence import ConvergenceConfig, GoodputConvergenceMonitor
@@ -41,9 +41,8 @@ from repro.util.errors import ValidationError
 from repro.util.validate import check_non_negative, check_positive
 
 __all__ = ["PlatformSpec", "DeploymentSpec", "Cell", "CellResult",
-           "CellOutcome", "GroupResult", "execute_cell",
-           "execute_cell_group", "iter_cell_group", "goodput_rate",
-           "measured_seconds", "warmup_key"]
+           "GroupResult", "execute_cell", "execute_cell_group",
+           "goodput_rate", "measured_seconds", "warmup_key"]
 
 
 def _tcp_payload(tcp: Optional[TCPConfig]) -> Optional[dict]:
@@ -540,48 +539,24 @@ class GroupResult:
     worker: Optional[str] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class CellOutcome:
-    """One streamed result from :func:`iter_cell_group`.
+def execute_cell_group(cells: Sequence[Cell], *,
+                       record: bool = False) -> GroupResult:
+    """Run cells sharing one warm-up prefix: simulate it once, fork the rest.
 
-    Attributes:
-        index: the cell's position in the input sequence.
-        result: the measurement (bit-identical to :func:`execute_cell`).
-        elapsed: wall-clock seconds this cell took.  The shared warm-up
-            is attributed to the outcome that paid for it.
-        warm: the cell was measured on a snapshot fork instead of
-            re-simulating its warm-up.
-        warmed_up: this outcome simulated the group's attack-free
-            warm-up prefix from scratch (at most one per packet group;
-            never set for fluid cells, which have no prefix to share).
-        series: the cell's harvested flight-recorder capture, or
-            ``None`` when recording was off (or the backend is fluid).
-    """
+    All cells must agree on :func:`warmup_key` (enforced).  The prefix
+    is simulated once; the first cell is measured on that very network
+    (no copy), every later cell on a private
+    :class:`~repro.sim.checkpoint.NetworkSnapshot` fork.  Results are
+    bit-identical to calling :func:`execute_cell` per cell.
 
-    index: int
-    result: CellResult
-    elapsed: float
-    warm: bool
-    warmed_up: bool
-    series: Optional[tuple] = None
-
-
-def iter_cell_group(cells: Sequence[Cell], *,
-                    record: bool = False) -> Iterator[CellOutcome]:
-    """Stream a warm-start group's measurements one cell at a time.
-
-    The incremental core of :func:`execute_cell_group`: all cells must
-    agree on :func:`warmup_key` (enforced before the first result).
-    The prefix is simulated once; the first cell is measured on that
-    very network (no copy), every later cell on a private
-    :class:`~repro.sim.checkpoint.NetworkSnapshot` fork.  Each finished
-    cell is yielded immediately as a :class:`CellOutcome`, in input
-    order, so a consumer (the execution fabric's workers) can persist
-    or stream results while the rest of the group is still running.
-    Results are bit-identical to calling :func:`execute_cell` per cell.
+    With ``record=True`` every packet cell gets a private flight
+    recorder whose harvested series ride back in
+    :attr:`GroupResult.series`.  Recorders attach only after the
+    snapshot fork (taps never leak between cells or into the frozen
+    prefix), so recorded results stay bit-identical to unrecorded ones.
     """
     if not cells:
-        return
+        return GroupResult((), (), 0, 0, 0.0)
     first = cells[0]
     key = warmup_key(first)
     for cell in cells[1:]:
@@ -594,12 +569,13 @@ def iter_cell_group(cells: Sequence[Cell], *,
     if first.backend == "fluid":
         # Fluid cells have no packet network to snapshot, and each one
         # integrates in milliseconds -- just run them back to back.
-        for index, cell in enumerate(cells):
+        results, elapsed = [], []
+        for cell in cells:
             started = time.perf_counter()
-            result = execute_cell(cell)
-            yield CellOutcome(index, result, time.perf_counter() - started,
-                              warm=False, warmed_up=False)
-        return
+            results.append(execute_cell(cell))
+            elapsed.append(time.perf_counter() - started)
+        return GroupResult(tuple(results), tuple(elapsed), 0, 0, 0.0,
+                           series=(None,) * len(cells) if record else ())
 
     def _harvest(recorder):
         return None if recorder is None else recorder.harvest()
@@ -609,10 +585,10 @@ def iter_cell_group(cells: Sequence[Cell], *,
     if len(cells) == 1:
         recorder = _make_recorder(first, record)
         result = _measure_warmed(net, detector, first, recorder=recorder)
-        yield CellOutcome(0, result, time.perf_counter() - started,
-                          warm=False, warmed_up=True,
-                          series=_harvest(recorder))
-        return
+        return GroupResult(
+            (result,), (time.perf_counter() - started,), 1, 0, 0.0,
+            series=(_harvest(recorder),) if record else (),
+        )
 
     from repro.sim.checkpoint import NetworkSnapshot
 
@@ -622,42 +598,22 @@ def iter_cell_group(cells: Sequence[Cell], *,
     # recorders attach strictly after this freeze, for the same reason.
     snapshot = NetworkSnapshot(net, detector)
     recorder = _make_recorder(first, record)
-    result = _measure_warmed(net, detector, first, recorder=recorder)
-    yield CellOutcome(0, result, time.perf_counter() - started,
-                      warm=False, warmed_up=True, series=_harvest(recorder))
-    for index, cell in enumerate(cells[1:], start=1):
+    results = [_measure_warmed(net, detector, first, recorder=recorder)]
+    series = [_harvest(recorder)]
+    elapsed = [time.perf_counter() - started]
+    for cell in cells[1:]:
         forked = time.perf_counter()
         fork_net, (fork_detector,) = snapshot.fork()
         recorder = _make_recorder(cell, record)
-        result = _measure_warmed(fork_net, fork_detector, cell,
-                                 recorder=recorder)
-        yield CellOutcome(index, result, time.perf_counter() - forked,
-                          warm=True, warmed_up=False,
-                          series=_harvest(recorder))
-
-
-def execute_cell_group(cells: Sequence[Cell], *,
-                       record: bool = False) -> GroupResult:
-    """Run cells sharing one warm-up prefix: simulate it once, fork the rest.
-
-    The batch wrapper over :func:`iter_cell_group`: drains the stream
-    and folds the outcomes into one :class:`GroupResult` with the
-    group's warm-start economics.  Results are bit-identical to calling
-    :func:`execute_cell` per cell.
-
-    With ``record=True`` every packet cell gets a private flight
-    recorder whose harvested series ride back in
-    :attr:`GroupResult.series`.  Recorders attach only after the
-    snapshot fork (taps never leak between cells or into the frozen
-    prefix), so recorded results stay bit-identical to unrecorded ones.
-    """
-    outcomes = list(iter_cell_group(cells, record=record))
-    saved = sum(cells[o.index].warmup for o in outcomes if o.warm)
+        results.append(_measure_warmed(fork_net, fork_detector, cell,
+                                       recorder=recorder))
+        series.append(_harvest(recorder))
+        elapsed.append(time.perf_counter() - forked)
     return GroupResult(
-        results=tuple(o.result for o in outcomes),
-        elapsed=tuple(o.elapsed for o in outcomes),
-        warmup_sims=sum(1 for o in outcomes if o.warmed_up),
-        warm_starts=sum(1 for o in outcomes if o.warm),
-        warmup_seconds_saved=float(saved),
-        series=tuple(o.series for o in outcomes) if record else (),
+        results=tuple(results),
+        elapsed=tuple(elapsed),
+        warmup_sims=1,
+        warm_starts=len(cells) - 1,
+        warmup_seconds_saved=float(sum(cell.warmup for cell in cells[1:])),
+        series=tuple(series) if record else (),
     )

@@ -25,6 +25,11 @@ placement and completion order cannot change any result -- only
 wall-clock time.  Parallel runs split a group into contiguous chunks,
 each re-simulating the prefix; chunking therefore trades some warm-up
 sharing for parallelism without affecting any result.
+
+Crash recovery: a worker that dies mid-batch (OOM kill, SIGKILL) breaks
+the whole process pool.  The runner then drops the broken pool and
+resubmits every unit it has not yet absorbed to a fresh one, once; the
+same determinism makes the re-executed results bit-identical.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ import logging
 import math
 import multiprocessing
 import os
-import shutil
-import tempfile
+import socket
 import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as _obs_metrics
@@ -54,13 +59,16 @@ from repro.runner.cells import (
     warmup_key,
 )
 from repro.util.env import env_flag, env_int, env_str
-from repro.util.errors import ValidationError
+from repro.util.errors import ReproError, ValidationError
 
 __all__ = ["CellTiming", "DryRunPlan", "PlanEntry", "RunnerStats",
            "ExperimentRunner", "check_jobs", "get_default_runner",
            "set_default_runner"]
 
 _log = logging.getLogger("repro.runner")
+
+#: fresh pools a parallel batch may start after a worker dies mid-batch.
+_POOL_RETRIES = 1
 
 
 def check_jobs(value, *, source: str = "jobs") -> int:
@@ -131,11 +139,6 @@ class RunnerStats:
     parallel_busy_seconds: float = 0.0
     #: workers x wall for each parallel batch (the available capacity).
     parallel_worker_seconds: float = 0.0
-    #: batches dispatched through the work-stealing fabric.
-    fabric_batches: int = 0
-    #: warm-start groups a fabric batch re-queued after a lease expired
-    #: (a worker crashed or stalled and its work was stolen).
-    fabric_requeues: int = 0
 
     def record(self, key: str, source: str, elapsed: float = 0.0) -> None:
         self.timings.append(CellTiming(key=key, source=source, elapsed=elapsed))
@@ -220,8 +223,6 @@ class RunnerStats:
             "parallel_wall_seconds": self.parallel_wall_seconds,
             "parallel_busy_seconds": self.parallel_busy_seconds,
             "worker_utilization": self.worker_utilization,
-            "fabric_batches": self.fabric_batches,
-            "fabric_requeues": self.fabric_requeues,
         })
         return snap
 
@@ -267,6 +268,11 @@ class RunnerStats:
 _ZERO_MARK = (0, 0, 0, 0.0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0)
 
 
+def local_worker_id() -> str:
+    """This process's worker identity: ``hostname:pid``."""
+    return f"{socket.gethostname()}:{os.getpid()}"
+
+
 def _execute_unit(cells: Tuple[Cell, ...],
                   record: bool = False) -> GroupResult:
     """Worker entry point: run one warm-up-sharing chunk of cells.
@@ -278,8 +284,6 @@ def _execute_unit(cells: Tuple[Cell, ...],
     executing process's worker identity so straggler analysis
     (``repro obs query slowest-cells``) can attribute placement.
     """
-    from repro.runner.fabric import local_worker_id
-
     group = execute_cell_group(cells, record=record)
     return dataclasses.replace(group, worker=local_worker_id())
 
@@ -386,34 +390,13 @@ class ExperimentRunner:
             prefix and fork each group from one frozen snapshot (the
             default).  ``False`` re-simulates every cell from scratch;
             results are bit-identical either way.
-        fabric: when > 0, dispatch cache-missing cells through the
-            work-stealing fabric (:mod:`repro.runner.fabric`) with this
-            many broker-spawned local workers instead of the static
-            process pool.  Results are bit-identical to ``fabric=0``.
-        fabric_queue: path for the fabric's durable lease queue.
-            ``None`` uses a private temporary file; point it at a
-            shared location to let external ``repro worker`` processes
-            (other hosts) steal work from the same batch.
-        fabric_ttl: lease time-to-live in seconds -- how long a silent
-            worker holds a group before it is stolen.
         dry_run: resolve memo/cache hits normally but *plan* (do not
             execute) everything else; see :class:`DryRunPlan`.
     """
 
     def __init__(self, *, jobs: int = 1, cache_dir=None,
-                 warm_start: bool = True, fabric: int = 0,
-                 fabric_queue=None, fabric_ttl: Optional[float] = None,
-                 dry_run: bool = False) -> None:
+                 warm_start: bool = True, dry_run: bool = False) -> None:
         self.jobs = check_jobs(jobs)
-        if isinstance(fabric, bool) or not isinstance(fabric, int):
-            raise ValidationError(
-                f"fabric must be an integer >= 0, got {fabric!r}"
-            )
-        if fabric < 0:
-            raise ValidationError(f"fabric must be >= 0, got {fabric}")
-        self.fabric = fabric
-        self.fabric_queue = fabric_queue
-        self.fabric_ttl = fabric_ttl
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.warm_start = warm_start
         self.stats = RunnerStats()
@@ -429,8 +412,6 @@ class ExperimentRunner:
         #: placeholder results for cells a dry run "executed".
         self._dry_memo: Dict[str, CellResult] = {}
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._broker = None
-        self._fabric_dir: Optional[str] = None
 
     def attach_store(self, store, *, record_series: bool = False) -> None:
         """Dual-write resolved cells into an experiment store.
@@ -493,9 +474,7 @@ class ExperimentRunner:
 
         if pending:
             units = self._plan_units(pending)
-            if self.fabric > 0:
-                self._execute_fabric(units, results)
-            elif self.jobs > 1 and len(units) > 1:
+            if self.jobs > 1 and len(units) > 1:
                 self._execute_parallel(units, results)
             else:
                 for unit in units:
@@ -523,11 +502,6 @@ class ExperimentRunner:
         still saturates the pool while many small groups stay whole.
         Chunking cannot change results, only how often the (bit-
         identical) prefix is re-simulated.
-
-        Fabric batches are never chunked: the fabric's steal
-        granularity is a whole warm-start group (one lease pays one
-        warm-up wherever it lands), and work-stealing -- not static
-        splitting -- is what keeps its workers busy.
         """
         if not self.warm_start:
             return [[(key, cell)] for key, cell in pending.items()]
@@ -536,7 +510,7 @@ class ExperimentRunner:
             groups.setdefault(warmup_key(cell), []).append((key, cell))
         ordered = list(groups.values())
         chunks_per_group = 1
-        if self.fabric == 0 and self.jobs > 1 and len(ordered) < self.jobs:
+        if self.jobs > 1 and len(ordered) < self.jobs:
             chunks_per_group = math.ceil(self.jobs / len(ordered))
         units: List[List[Tuple[str, Cell]]] = []
         for group in ordered:
@@ -619,89 +593,57 @@ class ExperimentRunner:
 
     def _execute_parallel(self, units: List[List[Tuple[str, Cell]]],
                           results: Dict[str, CellResult]) -> None:
+        """Fan units out over the pool and absorb them as they finish.
+
+        Every unit is its own future, drained with ``as_completed``, so
+        a worker that finishes early simply takes the next unit.  A
+        worker that dies breaks the pool for good: the broken pool is
+        dropped and the units not yet absorbed are resubmitted to a
+        fresh one, at most :data:`_POOL_RETRIES` times; after that the
+        batch raises, naming the cells it could not finish.
+        """
         cell_count = sum(len(unit) for unit in units)
         workers = min(self.jobs, len(units))
         _log.debug("fanning %d cells (%d units) over %d workers",
                    cell_count, len(units), workers)
         batch_started = time.perf_counter()
         busy = 0.0
-        pool = self._get_pool()
-        futures = {
-            pool.submit(
-                _execute_unit, tuple(cell for _key, cell in unit),
-                self.record_series,
-            ): unit
-            for unit in units
-        }
-        for future in concurrent.futures.as_completed(futures):
-            unit = futures[future]
-            group_result = future.result()
-            busy += sum(group_result.elapsed)
-            self._absorb_unit(unit, group_result, results)
+        pending = dict(enumerate(units))
+        for attempt in range(_POOL_RETRIES + 1):
+            try:
+                pool = self._get_pool()
+                futures = {
+                    pool.submit(
+                        _execute_unit, tuple(cell for _key, cell in unit),
+                        self.record_series,
+                    ): index
+                    for index, unit in pending.items()
+                }
+                for future in concurrent.futures.as_completed(futures):
+                    group_result = future.result()
+                    busy += sum(group_result.elapsed)
+                    self._absorb_unit(pending.pop(futures[future]),
+                                      group_result, results)
+                break
+            except BrokenProcessPool as exc:
+                self.close()
+                if attempt == _POOL_RETRIES:
+                    keys = [key for unit in pending.values()
+                            for key, _cell in unit]
+                    raise ReproError(
+                        f"a worker process died on every attempt "
+                        f"({attempt + 1}); {len(keys)} cells unfinished: "
+                        + ", ".join(keys)
+                    ) from exc
+                _log.warning("[worker died mid-batch; resubmitting %d of "
+                             "%d units to a fresh pool]",
+                             len(pending), len(units))
         wall = time.perf_counter() - batch_started
         stats = self.stats
         stats.parallel_batches += 1
         stats.parallel_wall_seconds += wall
         stats.parallel_busy_seconds += busy
         stats.parallel_worker_seconds += workers * wall
-
-    # ------------------------------------------------------------------
-    # fabric execution
-    # ------------------------------------------------------------------
-    def _get_broker(self):
-        """The persistent fabric broker, created on first fabric batch."""
-        if self._broker is None:
-            from repro.runner.fabric import DEFAULT_LEASE_TTL, FabricBroker
-
-            path = self.fabric_queue
-            if path is None:
-                self._fabric_dir = tempfile.mkdtemp(prefix="repro-fabric-")
-                path = os.path.join(self._fabric_dir, "queue.sqlite")
-            ttl = (DEFAULT_LEASE_TTL if self.fabric_ttl is None
-                   else self.fabric_ttl)
-            self._broker = FabricBroker(path, self.fabric, ttl=ttl)
-        return self._broker
-
-    def _execute_fabric(self, units: List[List[Tuple[str, Cell]]],
-                        results: Dict[str, CellResult]) -> None:
-        """Dispatch one batch through the work-stealing lease queue.
-
-        Each unit (a whole warm-start group) becomes one leasable
-        queue group; results are absorbed incrementally as workers
-        persist them, in completion order.  Bit-identical to the serial
-        and pool paths: cells are deterministic and keyed by content
-        hash, so placement and steal order cannot change any value.
-        """
-        if self.record_series:
-            raise ValidationError(
-                "record_series is not supported through the fabric; "
-                "use jobs-based execution to record flight series"
-            )
-        stats = self.stats
-        busy = [0.0]
-
-        def absorb(key, cell, result, elapsed, worker, warm):
-            self._finish(key, cell, result, elapsed, worker=worker)
-            results[key] = result
-            busy[0] += elapsed
-            if warm:
-                stats.warm_starts += 1
-                stats.warmup_seconds_saved += cell.warmup
-            elif warm is not None and cell.backend == "packet":
-                stats.warmup_sims += 1
-
-        broker = self._get_broker()
-        payload = [(warmup_key(unit[0][1]), unit) for unit in units]
-        batch = broker.run_batch(payload, absorb)
-        stats.fabric_batches += 1
-        stats.fabric_requeues += batch.requeued_groups
-        stats.parallel_batches += 1
-        stats.parallel_wall_seconds += batch.wall_seconds
-        stats.parallel_busy_seconds += busy[0]
-        stats.parallel_worker_seconds += self.fabric * batch.wall_seconds
-        if batch.requeued_groups:
-            _log.info("[fabric batch: %d groups re-queued after lease "
-                      "expiry]", batch.requeued_groups)
 
     def _record_store(self, key: str, cell: Cell, result: CellResult,
                       source: str, elapsed=None, series=None,
@@ -735,23 +677,14 @@ class ExperimentRunner:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool and fabric broker (if created).
+        """Shut down the worker pool (if created).
 
-        Idempotent; the runner remains usable afterwards (a new pool or
-        broker is created on the next parallel batch).  A private
-        temporary fabric queue is deleted; an explicit ``fabric_queue``
-        path is left in place -- it is the durable crash-recovery
-        record.
+        Idempotent; the runner remains usable afterwards (a new pool is
+        created on the next parallel batch).
         """
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._broker is not None:
-            self._broker.close()
-            self._broker = None
-        if self._fabric_dir is not None:
-            shutil.rmtree(self._fabric_dir, ignore_errors=True)
-            self._fabric_dir = None
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -772,11 +705,8 @@ def get_default_runner() -> ExperimentRunner:
     Created lazily from the environment: ``REPRO_JOBS`` sets the worker
     count (default 1; must parse as an integer >= 1),
     ``REPRO_CACHE_DIR`` enables the disk cache at that location
-    (default: memo only, no disk cache), ``REPRO_NO_WARM_START=1``
-    disables warm-start scheduling, and ``REPRO_FABRIC=N`` routes
-    cache-missing batches through the work-stealing fabric with N
-    local workers (``REPRO_FABRIC_QUEUE`` points its lease queue at a
-    shared path for multi-host runs).
+    (default: memo only, no disk cache), and ``REPRO_NO_WARM_START=1``
+    disables warm-start scheduling.
     """
     global _default_runner
     if _default_runner is None:
@@ -784,8 +714,6 @@ def get_default_runner() -> ExperimentRunner:
             jobs=env_int("REPRO_JOBS", 1, minimum=1),
             cache_dir=env_str("REPRO_CACHE_DIR") or None,
             warm_start=not env_flag("REPRO_NO_WARM_START"),
-            fabric=env_int("REPRO_FABRIC", 0, minimum=0),
-            fabric_queue=env_str("REPRO_FABRIC_QUEUE") or None,
         )
     return _default_runner
 

@@ -316,7 +316,7 @@ class TestWorkerAttribution:
         assert "worker" in names
         by_key = {row[0]: dict(zip(names, row)) for row in rows}
         assert by_key["slow"]["worker"] == "hostB:7"
-        assert by_key["fast"]["worker"] == "-"  # pre-fabric rows
+        assert by_key["fast"]["worker"] == "-"  # unattributed rows
 
     def test_workers_rollup_attributes_stragglers(self, tmp_path):
         store = make_store(tmp_path)

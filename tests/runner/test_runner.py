@@ -1,19 +1,25 @@
 """The executor: determinism, dedup, caching, parallel fan-out, stats."""
 
+import hashlib
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
 
 from repro.core.attack import PulseTrain
 from repro.experiments.base import DumbbellPlatform, run_gain_sweep
+import repro.runner.runner as runner_module
 from repro.runner import (
     Cell,
     ExperimentRunner,
     PlatformSpec,
+    cell_key,
     get_default_runner,
     set_default_runner,
 )
-from repro.util.errors import ValidationError
+from repro.util.errors import ReproError, ValidationError
 from repro.util.units import mbps, ms
 
 
@@ -27,6 +33,37 @@ def make_cell(seed=11, gamma=0.5, window=2.0):
             bottleneck_bps=mbps(15), n_pulses=4,
         ),
     )
+
+
+def sweep_cells(seed=11):
+    """A baseline plus attacked cells sharing one warm-up prefix."""
+    platform = PlatformSpec(kind="dumbbell", n_flows=2, seed=seed)
+    baseline = Cell(platform=platform, warmup=1.0, window=2.0)
+    return [baseline] + [
+        Cell(platform=platform, warmup=1.0, window=2.0,
+             train=PulseTrain.from_gamma(
+                 gamma=g, rate_bps=mbps(30), extent=ms(100),
+                 bottleneck_bps=mbps(15), n_pulses=3,
+             ))
+        for g in (0.3, 0.6)
+    ]
+
+
+def two_group_cells():
+    """Six cells across two warm-start prefixes (seeds 11 and 12)."""
+    return sweep_cells(seed=11) + sweep_cells(seed=12)
+
+
+def digest(results):
+    """A bit-exact fingerprint of a result list (repr round-trips floats)."""
+    return hashlib.sha256(repr(results).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def serial_digest():
+    """Ground truth: :func:`two_group_cells` executed serially."""
+    with ExperimentRunner(jobs=1) as runner:
+        return digest(runner.measure_many(two_group_cells()))
 
 
 class TestValidation:
@@ -53,6 +90,15 @@ class TestDeterminism:
             for batch in (serial, parallel, first, replayed)
         ]
         assert goodputs[0] == goodputs[1] == goodputs[2] == goodputs[3]
+
+    def test_serial_pool_bit_identical(self, serial_digest):
+        cells = two_group_cells()
+        with ExperimentRunner(jobs=2) as runner:
+            assert digest(runner.measure_many(cells)) == serial_digest
+        # Warm accounting is placement-independent too: one warm-up per
+        # prefix, every other cell a fork.
+        assert runner.stats.warmup_sims == 2
+        assert runner.stats.warm_starts == len(cells) - 2
 
 
 class TestDedupAndMemo:
@@ -168,3 +214,130 @@ class TestSweepIntegration:
         assert [p.measured_degradation for p in serial.points] == [
             p.measured_degradation for p in parallel.points
         ]
+
+
+# ----------------------------------------------------------------------
+# crash recovery
+# ----------------------------------------------------------------------
+DOOMED_SEED = 12
+
+
+def _dying_group(attempt_log, *, die_after_attempts):
+    """An ``execute_cell_group`` whose worker SIGKILLs itself.
+
+    Only units of the :data:`DOOMED_SEED` prefix die; each of their
+    attempts appends a line to *attempt_log* (shared by every forked
+    worker) and kills its process while the log holds at most
+    *die_after_attempts* lines.
+    """
+    real = runner_module.execute_cell_group
+
+    def group(cells, **kwargs):
+        if cells[0].platform.seed == DOOMED_SEED:
+            with open(attempt_log, "a+") as log:
+                log.write("attempt\n")
+                log.seek(0)
+                attempts = len(log.readlines())
+            if attempts <= die_after_attempts:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(cells, **kwargs)
+
+    return group
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched executor reaches workers via fork")
+class TestCrashRecovery:
+    def test_killed_worker_batch_matches_serial(self, monkeypatch, tmp_path,
+                                                serial_digest):
+        attempt_log = tmp_path / "attempts"
+        # Patched before the pool starts, so forked workers inherit it.
+        monkeypatch.setattr(runner_module, "execute_cell_group",
+                            _dying_group(attempt_log, die_after_attempts=1))
+        cells = two_group_cells()
+        with ExperimentRunner(jobs=2) as runner:
+            assert digest(runner.measure_many(cells)) == serial_digest
+            assert attempt_log.read_text().count("attempt") == 2
+            # Each cell is absorbed exactly once across both pools.
+            assert runner.stats.executed == len(cells)
+            assert runner.stats.warmup_sims == 2
+            assert runner.stats.warm_starts == len(cells) - 2
+            # The broken pool was replaced, not kept: the next batch runs.
+            later = sweep_cells(seed=13)
+            expected = ExperimentRunner(jobs=1).measure_many(later)
+            assert digest(runner.measure_many(later)) == digest(expected)
+
+    def test_worker_dying_every_attempt_names_its_cells(self, monkeypatch,
+                                                        tmp_path):
+        attempt_log = tmp_path / "attempts"
+        monkeypatch.setattr(runner_module, "execute_cell_group",
+                            _dying_group(attempt_log, die_after_attempts=99))
+        doomed = [cell_key(c) for c in sweep_cells(seed=DOOMED_SEED)]
+        with ExperimentRunner(jobs=2) as runner:
+            with pytest.raises(ReproError, match="died") as excinfo:
+                runner.measure_many(two_group_cells())
+            # One first attempt plus exactly one retry.
+            assert attempt_log.read_text().count("attempt") == 2
+            for key in doomed:
+                assert key in str(excinfo.value)
+            # Surviving the failure: the runner still executes batches.
+            healthy = sweep_cells(seed=11)
+            assert len(runner.measure_many(healthy)) == len(healthy)
+
+
+# ----------------------------------------------------------------------
+# dry run
+# ----------------------------------------------------------------------
+class TestDryRun:
+    def test_plans_instead_of_executing(self):
+        cells = sweep_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            results = runner.measure_many(cells)
+            assert len(results) == len(cells)
+            # Placeholders, not measurements: rate exactly 1.0 and no
+            # execution recorded anywhere.
+            assert all(r.goodput_bytes == cells[0].window for r in results)
+            assert runner.stats.executed == 0
+            assert runner.stats.cache_hits == 0
+            plan = runner.dry_run_plan
+            assert [e.status for e in plan.entries] == ["execute"] * 3
+            assert plan.batches == 1
+
+    def test_second_batch_hits_dry_memo(self):
+        cells = sweep_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            first = runner.measure_many(cells)
+            second = runner.measure_many(cells)
+            assert second == first
+            statuses = [e.status for e in runner.dry_run_plan.entries]
+            assert statuses == ["execute"] * 3 + ["memo"] * 3
+
+    def test_duplicates_counted_once(self):
+        cell = sweep_cells()[0]
+        with ExperimentRunner(dry_run=True) as runner:
+            runner.measure_many([cell, cell, cell])
+            assert len(runner.dry_run_plan.entries) == 1
+            assert runner.dry_run_plan.duplicates == 2
+
+    def test_cache_hits_resolve_real_results(self, tmp_path):
+        cells = sweep_cells()
+        with ExperimentRunner(cache_dir=tmp_path) as real:
+            executed = real.measure_many(cells)
+        with ExperimentRunner(cache_dir=tmp_path, dry_run=True) as dry:
+            planned = dry.measure_many(cells)
+            assert planned == executed  # real cached values, not stand-ins
+            statuses = [e.status for e in dry.dry_run_plan.entries]
+            assert statuses == ["cache"] * 3
+
+    def test_render_summarizes_prefix_groups(self):
+        cells = two_group_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            runner.measure_many(cells)
+            text = runner.dry_run_plan.render()
+        assert "6 cells planned -- 6 to execute" in text
+        assert "warm-up prefixes to simulate: 2" in text
+        assert "kind=dumbbell" in text and "seed=11" in text
+
+    def test_empty_plan_renders(self):
+        assert ExperimentRunner(dry_run=True).dry_run_plan.render() \
+            == "dry run: no cells planned"

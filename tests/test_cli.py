@@ -454,57 +454,6 @@ class TestRunnerJobsValidation:
             check_jobs(0, source="REPRO_JOBS")
 
 
-def _payload():
-    """Module-level so the lease queue can pickle it."""
-    return 42
-
-
-class TestFabricFlags:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["fig06"])
-        assert args.fabric is None
-        assert args.fabric_queue is None
-        assert not args.dry_run
-
-    def test_parser_values(self, tmp_path):
-        queue = tmp_path / "q.sqlite"
-        args = build_parser().parse_args(
-            ["fig06", "--fabric", "2", "--fabric-queue", str(queue)])
-        assert args.fabric == 2
-        assert args.fabric_queue == queue
-
-    def test_make_runner_uses_flag(self):
-        from repro.cli import _make_runner
-
-        args = build_parser().parse_args(["fig06", "--fabric", "3",
-                                          "--no-cache"])
-        runner = _make_runner(args)
-        assert runner.fabric == 3
-        runner.close()
-
-    def test_make_runner_env_fallback(self, monkeypatch, tmp_path):
-        from repro.cli import _make_runner
-
-        queue = tmp_path / "q.sqlite"
-        monkeypatch.setenv("REPRO_FABRIC", "2")
-        monkeypatch.setenv("REPRO_FABRIC_QUEUE", str(queue))
-        args = build_parser().parse_args(["fig06", "--no-cache"])
-        runner = _make_runner(args)
-        assert runner.fabric == 2
-        assert runner.fabric_queue == str(queue)
-        runner.close()
-
-    def test_flag_overrides_env(self, monkeypatch):
-        from repro.cli import _make_runner
-
-        monkeypatch.setenv("REPRO_FABRIC", "8")
-        args = build_parser().parse_args(["fig06", "--fabric", "0",
-                                          "--no-cache"])
-        runner = _make_runner(args)
-        assert runner.fabric == 0
-        runner.close()
-
-
 class TestDryRunFlag:
     def test_plans_without_executing(self, capsys, tmp_path):
         from repro.runner import get_default_runner
@@ -525,25 +474,3 @@ class TestDryRunFlag:
                       ["--store", str(tmp_path / "s.sqlite"), "--record"]):
             assert main(["fig01", "--dry-run", *extra]) == 2
             assert "cannot be combined" in capsys.readouterr().err
-
-
-class TestWorkerSubcommand:
-    def test_requires_queue(self):
-        with pytest.raises(SystemExit):
-            main(["worker"])
-
-    def test_drains_queue_and_exits(self, tmp_path):
-        import pickle
-
-        from repro.runner import LeaseQueue
-
-        path = tmp_path / "q.sqlite"
-        queue = LeaseQueue(path)
-        batch, _ = queue.enqueue_batch(
-            [("wkey", [("key-1", pickle.dumps(_payload))])])
-        assert main(["worker", "--queue", str(path), "--once",
-                     "--id", "external:1"]) == 0
-        (row,) = queue.take_completed(batch)
-        assert pickle.loads(row.result) == 42
-        assert row.worker == "external:1"
-        queue.close()

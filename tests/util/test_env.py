@@ -145,15 +145,6 @@ class TestConsumersRouteThroughHelpers:
         ):
             get_default_runner()
 
-    def test_repro_fabric_rejects_negative(self, monkeypatch):
-        from repro.runner import get_default_runner, set_default_runner
-
-        set_default_runner(None)
-        monkeypatch.setenv("REPRO_FABRIC", "-2")
-        with pytest.raises(ValidationError,
-                           match=r"REPRO_FABRIC must be >= 0"):
-            get_default_runner()
-
     def test_repro_full_garbage_rejected(self, monkeypatch):
         from repro.experiments.base import full_scale
 
