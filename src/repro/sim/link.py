@@ -92,7 +92,7 @@ class Link:
         "_tx_time", "_fast_admit", "_red_admit", "bytes_sent",
         "packets_sent", "bytes_dropped", "packets_dropped",
         "peak_queue_bytes", "monitors", "arrival_tap", "drop_tap",
-        "_deliver", "_fwd_compiled",
+        "_deliver",
     )
 
     def __init__(
@@ -164,17 +164,11 @@ class Link:
         #: free on the accepted path.
         self.drop_tap: Optional[Callable] = None
 
-        #: cached bound method: deliveries on the dict plane (and on
-        #: buffer-tracking links, whose evict() must be able to cancel
-        #: and reschedule through one stable callable) dispatch to
-        #: dst.receive.
+        #: cached bound method: buffer-tracking links, whose evict()
+        #: must be able to cancel and reschedule through one stable
+        #: callable, dispatch deliveries to dst.receive.  Every other
+        #: link resolves the delivery callable at send time.
         self._deliver = dst.receive
-        #: compiled forwarding plane: resolve the delivery callable --
-        #: the next hop's bound ``Link.send`` or the terminal agent --
-        #: at send time, so the scheduler dispatches straight into the
-        #: next hop with no ``Node.receive`` frame or dict probes in
-        #: between.  Buffer-tracking links stay on the receive path.
-        self._fwd_compiled = dst._compiled and not self._track_buffer
 
         src.attach_link(dst.node_id, self)
 
@@ -358,14 +352,14 @@ class Link:
             event = sim._push_handle(
                 departure + self.delay, self._deliver, (packet,))
             departures.append(BufferedPacket(departure, size, packet, event))
-        elif self._fwd_compiled:
-            # Compiled plane: resolve what Node.receive would do at the
-            # delivery time *now* (routes and agents are static once
-            # traffic toward them is in flight -- see
-            # Node.register_agent) and schedule that callable directly.
-            # Same event time, same seq, same effect: bit-identical to
-            # dispatching dst.receive, minus one Python frame and the
-            # dict probes per hop.
+        else:
+            # Resolve what Node.receive would do at the delivery time
+            # *now* -- the next hop's bound Link.send or the terminal
+            # agent (routes and agents are static once traffic toward
+            # them is in flight -- see Node.register_agent) -- and
+            # schedule that callable directly.  Same event time, same
+            # seq, same effect as dispatching dst.receive, minus one
+            # Python frame per hop.
             dst_node = self.dst
             d = packet.dst
             if d == dst_node.node_id:
@@ -380,10 +374,6 @@ class Link:
                     if fn is None:
                         fn = dst_node._drop_undeliverable
             sim._push_transient(departure + self.delay, fn, (packet,))
-            departures.append((departure, size))
-        else:
-            sim._push_transient(
-                departure + self.delay, self._deliver, (packet,))
             departures.append((departure, size))
         queued = self._queued_bytes + size
         self._queued_bytes = queued

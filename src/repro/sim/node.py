@@ -1,27 +1,19 @@
 """Nodes and static forwarding.
 
 A :class:`Node` is a router or host.  Forwarding is static: each node
-holds a routing table mapping destination node id to the outgoing
-:class:`~repro.sim.link.Link`.  Hosts additionally host *agents*
-(TCP senders/receivers, attack sources) keyed by flow id; a packet whose
-``dst`` equals the node id is delivered to the agent registered for its
-flow.
+holds one routing table, a dense list ``_next_send`` indexed by
+destination node id whose entries are the *bound* ``Link.send`` of the
+outgoing interface, so a hop is one indexed load and one call.  Hosts
+with a single outgoing interface use an O(1) *default route*
+``_default_send`` instead of a dense table (a 10k-host scenario must
+not hold 10k tables of 20k entries each).  Hosts additionally host
+*agents* (TCP senders/receivers, attack sources) keyed by flow id; a
+packet whose ``dst`` equals the node id is delivered to the agent
+registered for its flow.
 
-Two forwarding planes share the same routing state:
-
-* the **dict plane** (the historical path): each hop probes
-  ``_routes[dst]`` then ``_links[next_hop]``;
-* the **compiled plane** (default): routes are compiled into a dense
-  list ``_next_send`` indexed by destination node id whose entries are
-  the *bound* ``Link.send`` of the outgoing interface, so a hop is one
-  indexed load and one call.  Hosts with a single outgoing interface
-  use an O(1) *default route* instead of a dense table (a 10k-host
-  scenario must not hold 10k tables of 20k entries each).
-
-Both planes make identical forwarding decisions and maintain identical
-statistics, so simulations are bit-identical across them.  Selection:
-``REPRO_FORWARDING=compiled|dict`` (or an explicit ``compiled=``
-argument / scenario-config field); see :mod:`repro.sim.routing`.
+Links resolve each delivery against the next node's table at send time
+(see :meth:`repro.sim.link.Link.send`); :meth:`Node.receive` serves
+buffer-tracking links and direct calls.
 """
 
 from __future__ import annotations
@@ -29,69 +21,42 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.sim.packet import Packet
-from repro.util.env import env_choice
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
-__all__ = ["Node", "forwarding_default", "FORWARDING_MODES"]
-
-#: Recognized forwarding-plane names.
-FORWARDING_MODES = ("compiled", "dict")
-
-
-def forwarding_default() -> str:
-    """The process-default forwarding plane.
-
-    ``REPRO_FORWARDING=compiled|dict`` overrides; unset selects the
-    compiled plane.  Both planes are bit-identical, so the choice is a
-    pure performance knob (the dict plane exists as the A/B baseline
-    for the forwarding benchmark).
-    """
-    return env_choice("REPRO_FORWARDING", FORWARDING_MODES,
-                      default="compiled")
+__all__ = ["Node"]
 
 
 class Node:
     """A network node (host or router).
 
-    ``__slots__`` keeps the per-hop attribute loads in :meth:`receive`
-    off the instance-dict path.
+    ``__slots__`` keeps the per-hop attribute loads in :meth:`send` off
+    the instance-dict path.
     """
 
     __slots__ = (
-        "sim", "node_id", "name", "_links", "_routes", "_agents",
-        "undeliverable", "_compiled", "_next_send", "_default_hop",
-        "_default_send",
+        "sim", "node_id", "name", "_links", "_agents", "undeliverable",
+        "_next_send", "_default_send",
     )
 
-    def __init__(self, sim: "Simulator", node_id: int, name: str = "",
-                 *, compiled: Optional[bool] = None) -> None:
+    def __init__(self, sim: "Simulator", node_id: int, name: str = "") -> None:
         self.sim = sim
         self.node_id = node_id
         self.name = name or f"n{node_id}"
         #: outgoing interface per immediate next-hop node id.
         self._links: Dict[int, "Link"] = {}
-        #: destination node id -> next-hop node id.
-        self._routes: Dict[int, int] = {}
         #: flow id -> receive callback for locally terminated packets.
         self._agents: Dict[int, Callable[[Packet], None]] = {}
         #: packets that arrived with no registered agent or route.
         self.undeliverable = 0
-        #: compiled forwarding plane active for this node.
-        self._compiled = (
-            forwarding_default() == "compiled" if compiled is None
-            else bool(compiled)
-        )
         #: dense dst-id-indexed table of bound ``Link.send`` callables
-        #: (``None`` entries mean "no specific route").  Mirrors
-        #: ``_routes``; maintained by :meth:`add_route`/:meth:`attach_link`.
+        #: (``None`` entries mean "no specific route").
         self._next_send: List[Optional[Callable[[Packet], bool]]] = []
-        #: fallback next hop for destinations absent from the table
-        #: (typical for single-homed hosts); ``None`` means unroutable.
-        self._default_hop: Optional[int] = None
+        #: fallback for destinations absent from the table (typical for
+        #: single-homed hosts); ``None`` means unroutable.
         self._default_send: Optional[Callable[[Packet], bool]] = None
 
     # ------------------------------------------------------------------
@@ -100,12 +65,20 @@ class Node:
     def attach_link(self, neighbor_id: int, link: "Link") -> None:
         """Register *link* as the interface toward *neighbor_id*.
 
-        Called automatically by :class:`~repro.sim.link.Link`.
+        Called automatically by :class:`~repro.sim.link.Link`.  A second
+        link toward the same neighbor is rejected: routes name next-hop
+        nodes, so parallel links could not be told apart.
         """
+        if neighbor_id in self._links:
+            raise ConfigurationError(
+                f"{self.name}: already has a link toward {link.dst.name} "
+                f"(n{neighbor_id}); parallel links are not supported"
+            )
         self._links[neighbor_id] = link
-        # A neighbor is trivially routable via the direct link.
-        if neighbor_id not in self._routes:
-            self._routes[neighbor_id] = neighbor_id
+        # A neighbor is trivially routable via the direct link, unless
+        # an explicit route was installed first.
+        table = self._next_send
+        if neighbor_id >= len(table) or table[neighbor_id] is None:
             self._table_set(neighbor_id, link)
 
     def add_route(self, dst_id: int, next_hop_id: int) -> None:
@@ -115,7 +88,6 @@ class Node:
             raise ConfigurationError(
                 f"{self.name}: no link toward next hop n{next_hop_id}"
             )
-        self._routes[dst_id] = next_hop_id
         self._table_set(dst_id, link)
 
     def set_default_route(self, next_hop_id: int) -> None:
@@ -132,11 +104,10 @@ class Node:
             raise ConfigurationError(
                 f"{self.name}: no link toward next hop n{next_hop_id}"
             )
-        self._default_hop = next_hop_id
         self._default_send = link.send
 
     def _table_set(self, dst_id: int, link: "Link") -> None:
-        """Mirror one route into the dense compiled table."""
+        """Install one route into the dense table."""
         table = self._next_send
         if dst_id >= len(table):
             table.extend([None] * (dst_id + 1 - len(table)))
@@ -146,10 +117,10 @@ class Node:
         """Deliver locally terminated packets of *flow_id* to *deliver*.
 
         Agents must be registered before traffic toward them is in
-        flight: the compiled plane resolves the agent when the packet
-        enters its final link, not at delivery time.  Every scenario
-        builder registers agents at flow-creation time, before the
-        flow's first transmission, so both planes see the same agent.
+        flight: links resolve the agent when the packet enters its
+        final link, not at delivery time.  Every scenario builder
+        registers agents at flow-creation time, before the flow's first
+        transmission.
         """
         if flow_id in self._agents:
             raise ConfigurationError(
@@ -188,74 +159,55 @@ class Node:
     def _outbound(self, dst_id: int) -> Optional["Link"]:
         """The outgoing link toward *dst_id*, or ``None`` if unroutable.
 
-        The one shared route-lookup implementation: :meth:`forward` and
-        :meth:`send` delegate here, :meth:`receive` (and the compiled
-        plane's resolve-at-send path in :meth:`Link.send
-        <repro.sim.link.Link.send>`) inline exactly this decision
-        procedure -- specific route first, default route as fallback.
+        For inspection (:meth:`GraphTopology.path
+        <repro.sim.routing.GraphTopology.path>`); :meth:`send` and
+        :meth:`Link.send <repro.sim.link.Link.send>` inline the same
+        lookup -- specific route first, default route as fallback.
         """
-        next_hop = self._routes.get(dst_id)
-        if next_hop is None:
-            next_hop = self._default_hop
-            if next_hop is None:
+        table = self._next_send
+        send = table[dst_id] if dst_id < len(table) else None
+        if send is None:
+            send = self._default_send
+            if send is None:
                 return None
-        return self._links[next_hop]
+        return send.__self__
 
     def _drop_undeliverable(self, _packet: Packet) -> None:
-        """Terminal for unroutable/agent-less packets (either plane)."""
+        """Terminal for unroutable/agent-less packets."""
         self.undeliverable += 1
 
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link (or locally injected).
 
-        Hops through buffer-tracking links (and direct calls) dispatch
-        through here, so the lookup is inlined rather than delegated to
-        :meth:`_outbound`; on the compiled plane most hops bypass this
-        frame entirely (the upstream link resolved the delivery
-        callable at send time).
+        Only hops through buffer-tracking links (and direct calls)
+        dispatch through here; every other link resolved the delivery
+        callable at send time.
         """
-        dst = packet.dst
-        if dst == self.node_id:
+        if packet.dst == self.node_id:
             agent = self._agents.get(packet.flow_id)
             if agent is None:
                 self.undeliverable += 1
                 return
             agent(packet)
             return
-        if self._compiled:
-            table = self._next_send
-            send = table[dst] if dst < len(table) else None
-            if send is None:
-                send = self._default_send
-                if send is None:
-                    self.undeliverable += 1
-                    return
-            send(packet)
-            return
-        next_hop = self._routes.get(dst)
-        if next_hop is None:
-            next_hop = self._default_hop
-            if next_hop is None:
-                self.undeliverable += 1
-                return
-        self._links[next_hop].send(packet)
+        self.send(packet)
 
-    def forward(self, packet: Packet) -> None:
+    def send(self, packet: Packet) -> None:
         """Send *packet* toward its destination via the routing table.
 
         Packets with no route are counted in :attr:`undeliverable` and
         silently discarded, matching a router's behaviour rather than
         crashing mid-simulation.
         """
-        link = self._outbound(packet.dst)
-        if link is None:
-            self.undeliverable += 1
-            return
-        link.send(packet)
-
-    def send(self, packet: Packet) -> None:
-        """Inject a locally generated packet into the network."""
-        self.forward(packet)
+        dst = packet.dst
+        table = self._next_send
+        send = table[dst] if dst < len(table) else None
+        if send is None:
+            send = self._default_send
+            if send is None:
+                self.undeliverable += 1
+                return
+        send(packet)
 
     def metrics_snapshot(self) -> dict:
         """Node-level telemetry for the observability layer."""

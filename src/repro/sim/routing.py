@@ -7,7 +7,7 @@ state the hot path consumes:
 
 * **Routers** (nodes with two or more outgoing interfaces) get a dense
   ``list``-indexed next-link table keyed by destination node id -- one
-  indexed load per hop instead of two dict probes.
+  indexed load per hop.
 * **Hosts** (single outgoing interface) get an O(1) *default route*
   through their access link, so a 10k-host scenario carries no
   per-host tables at all.
@@ -24,11 +24,9 @@ each hop strictly decreases the remaining BFS distance even when
 different routers broke ties differently (a subpath of a shortest path
 is itself shortest).
 
-The compiled *forwarding plane* (``REPRO_FORWARDING=compiled``, the
-default) additionally resolves each delivery's continuation at send
-time (see :meth:`repro.sim.link.Link.send`), eliminating the
-``Node.receive`` frame per hop; ``REPRO_FORWARDING=dict`` restores the
-historical dict-probe path.  Both planes are bit-identical.
+Links additionally resolve each delivery's continuation at send time
+(see :meth:`repro.sim.link.Link.send`), eliminating the
+``Node.receive`` frame per hop.
 
 :func:`aimd_buffer_bytes` sizes per-link buffers from the AIMD
 buffer-sizing rule (Avrachenkov, Ayesta & Piunovskiy, "Convergence and
@@ -44,7 +42,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.link import Link
-from repro.sim.node import FORWARDING_MODES, Node, forwarding_default
+from repro.sim.node import Node
 from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.queues import QueueDiscipline
 from repro.util.errors import ConfigurationError, ValidationError
@@ -52,8 +50,7 @@ from repro.util.errors import ConfigurationError, ValidationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["GraphTopology", "aimd_buffer_bytes", "forwarding_default",
-           "FORWARDING_MODES"]
+__all__ = ["GraphTopology", "aimd_buffer_bytes"]
 
 
 def aimd_buffer_bytes(
@@ -106,15 +103,8 @@ class GraphTopology:
     than wiring nodes by hand.
     """
 
-    def __init__(self, sim: "Simulator", *,
-                 forwarding: Optional[str] = None) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        mode = forwarding if forwarding is not None else forwarding_default()
-        if mode not in FORWARDING_MODES:
-            raise ValidationError(
-                f"forwarding must be one of {FORWARDING_MODES}, got {mode!r}"
-            )
-        self.forwarding = mode
         self.nodes: Dict[int, Node] = {}
         self.links: List[Link] = []
         self._next_node_id = 0
@@ -129,8 +119,7 @@ class GraphTopology:
             node_id = self._next_node_id
         if node_id in self.nodes:
             raise ConfigurationError(f"node id {node_id} already exists")
-        node = Node(self.sim, node_id, name,
-                    compiled=self.forwarding == "compiled")
+        node = Node(self.sim, node_id, name)
         self.nodes[node_id] = node
         self._next_node_id = max(self._next_node_id, node_id + 1)
         return node
@@ -176,10 +165,9 @@ class GraphTopology:
         """Install shortest-path forwarding state on every node.
 
         Hosts (one outgoing interface) get a default route; routers get
-        per-destination entries (dict plane) mirrored into the dense
-        next-link table (compiled plane).  Deterministic and
-        idempotent; routes added explicitly afterwards (e.g. for nodes
-        attached mid-scenario) layer on top via
+        per-destination entries in the dense next-link table.
+        Deterministic and idempotent; routes added explicitly afterwards
+        (e.g. for nodes attached mid-scenario) layer on top via
         :meth:`~repro.sim.node.Node.add_route`.
         """
         adjacency = {
@@ -252,5 +240,5 @@ class GraphTopology:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<GraphTopology {len(self.nodes)} nodes "
-            f"{len(self.links)} links {self.forwarding}>"
+            f"{len(self.links)} links>"
         )

@@ -172,11 +172,6 @@ class DumbbellConfig:
     #: ``compare=False``: backends dispatch bit-identically, so the
     #: choice must not split the runner's result-cache keys.
     scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
-    #: forwarding plane ("compiled"/"dict"); ``None`` defers to
-    #: ``REPRO_FORWARDING`` / the compiled default.  ``compare=False``
-    #: for the same reason as ``scheduler``: the planes are
-    #: bit-identical, so the choice must not split cache keys.
-    forwarding: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -209,7 +204,7 @@ class DumbbellNetwork:
         Packet.reset_uids()
 
         m = config.n_flows
-        self.topo = GraphTopology(self.sim, forwarding=config.forwarding)
+        self.topo = GraphTopology(self.sim)
         self.router_s = self.topo.add_node("routerS")
         self.router_r = self.topo.add_node("routerR")
         self.sender_nodes = [
@@ -543,7 +538,6 @@ class ParkingLotConfig:
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
     scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
-    forwarding: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_segments < 1:
@@ -641,7 +635,7 @@ class ParkingLotNetwork:
         Packet.reset_uids()
 
         self.long_rtts, self.cross_rtts = config.draw_rtts()
-        self.topo = GraphTopology(self.sim, forwarding=config.forwarding)
+        self.topo = GraphTopology(self.sim)
         self._build_nodes()
         self._build_links()
         self.topo.compile_routes()

@@ -151,10 +151,3 @@ class TestConsumersRouteThroughHelpers:
         monkeypatch.setenv("REPRO_FULL", "2")
         with pytest.raises(ValidationError, match="REPRO_FULL"):
             full_scale()
-
-    def test_repro_forwarding_garbage_rejected(self, monkeypatch):
-        from repro.sim.node import forwarding_default
-
-        monkeypatch.setenv("REPRO_FORWARDING", "hashmap")
-        with pytest.raises(ValidationError, match="REPRO_FORWARDING"):
-            forwarding_default()
