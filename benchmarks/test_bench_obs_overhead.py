@@ -12,9 +12,9 @@ pair (see :func:`_interleaved_best`), and bit-identical results.
 
 The enabled run doubles as an end-to-end telemetry check (engine, link,
 and TCP families all populated, results bit-identical to the disabled
-run) and writes a JSON-lines run log to ``results/runlog.jsonl`` plus a
-small recorded experiment store to ``results/runlog.sqlite`` for CI to
-smoke-query and upload as artifacts.
+run), and the bench writes a small recorded experiment store to
+``results/runlog.sqlite`` for CI to smoke-query and upload as an
+artifact.
 
 CI runs this bench non-gating (continue-on-error): the archived
 baseline comes from whatever machine last regenerated it, so a slower
@@ -184,7 +184,6 @@ def test_bench_obs_overhead(benchmark, record_result):
         "recorder_pair_ratios": recorded["pair_ratios"],
     })
 
-    _write_run_log(disabled, enabled)
     _write_store()
 
     # The recorder gate is same-process and paired: in the quietest
@@ -205,21 +204,6 @@ def test_bench_obs_overhead(benchmark, record_result):
     )
 
 
-def _write_run_log(disabled, enabled) -> None:
-    """One fresh JSON-lines record per variant, for the CI artifact."""
-    from repro.obs.runlog import RunLogWriter, base_record
-
-    path = RESULTS_DIR / "runlog.jsonl"
-    path.unlink(missing_ok=True)
-    writer = RunLogWriter(path)
-    for variant, stats in (("disabled", disabled), ("enabled", enabled)):
-        record = base_record("experiment", f"obs_overhead[{variant}]")
-        record["elapsed_seconds"] = stats["wall"]
-        record["metrics"] = stats.get("snapshot", {})
-        record["events_per_sec"] = stats["events_per_sec"]
-        writer.write(record)
-
-
 def _write_store() -> None:
     """A small recorded experiment store, for the CI query/trace smoke.
 
@@ -229,8 +213,7 @@ def _write_store() -> None:
     series to export.
     """
     from repro.core.attack import PulseTrain
-    from repro.obs.runlog import git_sha
-    from repro.obs.store import ExperimentStore
+    from repro.obs.store import ExperimentStore, git_sha
     from repro.runner import Cell, ExperimentRunner, PlatformSpec
     from repro.util.units import mbps, ms
 

@@ -32,10 +32,6 @@ cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
 simulation (cells that would execute resolve to placeholders).
 
-``--scheduler {auto,heap,calendar}`` selects the engine's event-scheduler
-backend for the invocation (sets ``REPRO_SCHEDULER``); dispatch is
-bit-identical across backends, so this is purely a performance knob.
-
 ``--profile`` wraps each experiment in :func:`repro.sim.profile.profile_run`
 and prints wall time, simulator events/sec, and the hottest functions
 after the rendering.  Profile the default serial mode (``--jobs 1``,
@@ -43,27 +39,25 @@ ideally ``--no-cache``): cells executed by worker processes or answered
 from the cache dispatch no simulator events in this process.
 
 Observability: diagnostics go through the ``repro`` logger (``-v`` for
-per-cell debug lines, ``-q`` for renderings only), and
-``repro <experiment> --metrics [PATH]`` additionally enables the metrics
-registry and appends one JSON-lines record per experiment -- engine,
-link, TCP, and runner telemetry plus timings and the git SHA -- to
-*PATH* (default ``runlog.jsonl``).  ``repro obs report LOG [LOG...]``
-renders a summary table from such logs (or from stores; ``--sort``/
-``--last`` order and trim the rows).  Note: cells answered from the
-cache or executed in worker processes contribute runner metrics but no
-in-process engine/link/TCP metrics; run with ``--no-cache`` serially
-for a full simulation snapshot.
+per-cell debug lines, ``-q`` for renderings only).  ``--store [PATH]``
+writes telemetry to an sqlite experiment store (default
+``runlog.sqlite``): one row per invocation (git SHA, argv, runner
+accounting), one per experiment with its timings and a fresh metrics
+registry's engine, link, TCP, and runner telemetry, and per-cell rows
+keyed by the result cache's content-hash key.  Note: cells answered
+from the cache or executed in worker processes contribute runner
+metrics but no in-process engine/link/TCP metrics; run with
+``--no-cache`` serially for a full simulation snapshot.
 
-``--store [PATH]`` additionally dual-writes an sqlite experiment store
-(default ``runlog.sqlite``): runs, experiments, per-cell rows keyed by
-the result cache's content-hash key, and scalar metrics --
-queryable afterwards with ``repro obs query`` (raw SQL or the canned
-``gamma-star``/``slowest-cells``/``workers``/``cache-hits``/
-``drop-sync`` queries).  ``--record`` also attaches the in-sim flight recorder
-(:mod:`repro.obs.recorder`) to every executed packet cell and stores
-its time series -- arrival rates, drops, queue depth, cwnd, recovery
-events -- for ``repro obs trace <cell> --export csv|npz``.  Both are
-passive: results stay bit-identical.
+``repro obs report STORE [STORE...]`` renders a summary table from
+stores (``--sort``/``--last`` order and trim the rows); ``repro obs
+query`` runs raw SQL or the canned ``gamma-star``/``slowest-cells``/
+``workers``/``cache-hits``/``drop-sync`` queries.  ``--record`` also
+attaches the in-sim flight recorder (:mod:`repro.obs.recorder`) to
+every executed packet cell and stores its time series -- arrival
+rates, drops, queue depth, cwnd, recovery events -- for
+``repro obs trace <cell> --export csv|npz``.  The store and the
+recorder are passive: results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -79,9 +73,6 @@ from typing import Callable, Dict
 __all__ = ["main", "EXPERIMENTS"]
 
 _log = logging.getLogger("repro.cli")
-
-#: where ``--metrics`` writes when no path is given.
-DEFAULT_RUNLOG = pathlib.Path("runlog.jsonl")
 
 #: where ``--store`` writes when no path is given (keep in sync with
 #: repro.obs.store.DEFAULT_STORE_NAME; not imported so ``--help`` stays
@@ -234,11 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Denial-of-Service Attacks' (Luo & Chang, DSN 2005)."
         ),
         epilog=(
-            "Run-log tooling: 'repro obs report SRC [SRC...]' renders a "
-            "summary table from run logs (--metrics) or experiment "
-            "stores (--store); 'repro obs query' runs canned or raw SQL "
-            "queries against a store; 'repro obs trace' exports a "
-            "cell's recorded time series."
+            "Store tooling: 'repro obs report STORE [STORE...]' renders "
+            "a summary table from experiment stores (--store); 'repro "
+            "obs query' runs canned or raw SQL queries against a store; "
+            "'repro obs trace' exports a cell's recorded time series."
         ),
     )
     parser.add_argument(
@@ -265,15 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --fast, skip the fluid-model pre-pass (sets "
              "REPRO_NO_FLUID=1): the planner explores the full "
              "packet-level coarse grid instead",
-    )
-    parser.add_argument(
-        "--scheduler", choices=["auto", "heap", "calendar"], default=None,
-        help="event-scheduler backend for every simulator built during "
-             "the invocation (sets REPRO_SCHEDULER): 'heap' is the "
-             "binary-heap baseline, 'calendar' the calendar queue for "
-             "very deep pending sets, 'auto' (engine default) starts on "
-             "the heap and migrates past the measured crossover; "
-             "results are bit-identical across backends",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -312,20 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
              "$XDG_CACHE_HOME/repro-pdos)",
     )
     parser.add_argument(
-        "--metrics", type=pathlib.Path, nargs="?", const=DEFAULT_RUNLOG,
-        default=None, metavar="PATH",
-        help="enable the metrics registry and append one JSON-lines "
-             "run-log record per experiment to PATH (default: "
-             f"{DEFAULT_RUNLOG}); place the flag after the experiment "
-             "name when omitting PATH",
-    )
-    parser.add_argument(
         "--store", type=pathlib.Path, nargs="?", const=DEFAULT_STORE,
         default=None, metavar="PATH",
-        help="dual-write an sqlite experiment store to PATH (default: "
-             f"{DEFAULT_STORE}): runs, experiments, per-cell rows keyed "
-             "by the result-cache content hash, and metrics; query with "
-             "'repro obs query'",
+        help="write telemetry to an sqlite experiment store at PATH "
+             f"(default: {DEFAULT_STORE}): runs, experiments, per-cell "
+             "rows keyed by the result-cache content hash, and metrics; "
+             "read it with 'repro obs report' or 'repro obs query'; "
+             "place the flag after the experiment name when omitting "
+             "PATH",
     )
     parser.add_argument(
         "--record", action="store_true",
@@ -383,7 +358,7 @@ def _make_runner(args):  # deferred import keeps `--help` fast
 
 
 def _run_one(name: str, output_dir, runner=None, profile=False,
-             writer=None, store=None) -> None:
+             store=None) -> None:
     from repro.obs import metrics as obs_metrics
 
     if runner is not None and runner.dry_run:
@@ -401,14 +376,13 @@ def _run_one(name: str, output_dir, runner=None, profile=False,
 
     started = time.time()
     mark = runner.stats.checkpoint() if runner is not None else None
-    # A fresh registry per experiment: each run-log record then snapshots
-    # exactly one experiment's telemetry, not the whole invocation's.
-    telemetry = writer is not None or store is not None
-    registry = obs_metrics.enable() if telemetry else None
+    registry = None
     if store is not None:
-        # The store's experiment row opens before any cell runs (cell
-        # rows attach to it) with the same timestamp the run-log record
-        # carries, keeping the two sources byte-equivalent.
+        # A fresh registry per experiment: each experiment row then
+        # holds exactly one experiment's telemetry, not the whole
+        # invocation's.  The row opens before any cell runs, because
+        # cell rows attach to it.
+        registry = obs_metrics.enable()
         store.begin_experiment(name, timestamp=started)
     try:
         if profile:
@@ -429,23 +403,12 @@ def _run_one(name: str, output_dir, runner=None, profile=False,
                   runner.stats.since(mark))
     else:
         _log.info("[%s: %.1fs]\n", name, elapsed)
-    delta = runner.stats.delta_snapshot(mark) if mark is not None else None
-    snapshot = registry.snapshot() if registry is not None else None
     if store is not None:
-        store.finish_experiment(elapsed_seconds=elapsed, runner=delta,
-                                metrics=snapshot)
-    if writer is not None:
-        from repro.obs.runlog import base_record
-
-        record = base_record("experiment", name)
-        record["timestamp"] = started  # start of the record, per schema
-        record["elapsed_seconds"] = elapsed
-        if delta is not None:
-            record["runner"] = delta
-        record["metrics"] = snapshot
-        if store is not None:
-            record["store"] = str(store.path)
-        writer.write(record)
+        store.finish_experiment(
+            elapsed_seconds=elapsed,
+            runner=(runner.stats.delta_snapshot(mark)
+                    if mark is not None else None),
+            metrics=registry.snapshot())
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
         (output_dir / f"{name}.txt").write_text(text + "\n")
@@ -571,19 +534,16 @@ def _obs_main(argv) -> int:
     """The ``repro obs ...`` tooling subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro obs",
-        description="Inspect run logs (--metrics) and experiment stores "
-                    "(--store).",
+        description="Inspect experiment stores (--store).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     report = commands.add_parser(
         "report",
-        help="render a summary table from run logs and/or stores",
+        help="render a summary table from experiment stores",
     )
     report.add_argument(
-        "logs", nargs="+", type=pathlib.Path, metavar="SRC",
-        help="JSON-lines run logs or sqlite experiment stores; a log "
-             "whose records point at an existing store is upgraded to "
-             "the store",
+        "stores", nargs="+", type=pathlib.Path, metavar="STORE",
+        help="sqlite experiment stores written by --store",
     )
     report.add_argument(
         "--sort", choices=("time", "name", "elapsed"), default="time",
@@ -640,13 +600,14 @@ def _obs_main(argv) -> int:
     if args.command == "trace":
         return _obs_trace(args)
     from repro.obs.report import render_report
+    from repro.obs.store import is_store
 
-    missing = [path for path in args.logs if not path.is_file()]
-    if missing:
-        print("no such run log: " + ", ".join(str(p) for p in missing),
-              file=sys.stderr)
+    rejected = [path for path in args.stores if not is_store(path)]
+    if rejected:
+        print("not an experiment store: "
+              + ", ".join(str(p) for p in rejected), file=sys.stderr)
         return 1
-    print(render_report(args.logs, sort=args.sort, last=args.last))
+    print(render_report(args.stores, sort=args.sort, last=args.last))
     return 0
 
 
@@ -666,28 +627,20 @@ def main(argv=None) -> int:
         os.environ["REPRO_FAST"] = "1"
     if args.no_fluid:
         os.environ["REPRO_NO_FLUID"] = "1"
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.record and args.store is None:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)
         return 2
-    if args.dry_run and (args.store is not None or args.metrics is not None
-                         or args.record):
-        print("--dry-run plans only; it cannot be combined with --store, "
-              "--metrics, or --record", file=sys.stderr)
+    if args.dry_run and (args.store is not None or args.record):
+        print("--dry-run plans only; it cannot be combined with --store "
+              "or --record", file=sys.stderr)
         return 2
     from repro.runner import set_default_runner
     runner = _make_runner(args)
     set_default_runner(runner)
-    writer = None
-    if args.metrics is not None:
-        from repro.obs.runlog import RunLogWriter
-        writer = RunLogWriter(args.metrics)
     store = None
     if args.store is not None:
-        from repro.obs.runlog import git_sha
-        from repro.obs.store import ExperimentStore
+        from repro.obs.store import ExperimentStore, git_sha
         from repro.util.env import env_flag
 
         store = ExperimentStore(args.store)
@@ -701,7 +654,7 @@ def main(argv=None) -> int:
     try:
         for name in names:
             _run_one(name, args.output_dir, runner, profile=args.profile,
-                     writer=writer, store=store)
+                     store=store)
     finally:
         # Tear down the persistent worker pool once all experiments in
         # this invocation have drained it.
@@ -712,17 +665,6 @@ def main(argv=None) -> int:
             store.close()
             _log.info("[experiment store -> %s]", store.path)
     _log.info("[total: %s]", runner.stats.summary())
-    if writer is not None:
-        from repro.obs.runlog import base_record
-
-        record = base_record("run", args.experiment)
-        record["experiments"] = names
-        record["runner"] = runner.stats.snapshot()
-        if store is not None:
-            record["store"] = str(store.path)
-        writer.write(record)
-        _log.info("[run log: %d records -> %s]",
-                  writer.records_written, writer.path)
     return 0
 
 

@@ -1,20 +1,20 @@
-"""Observability: metrics, structured run logs, and reporting.
+"""Observability: metrics, the experiment store, and reporting.
 
 * :mod:`repro.obs.metrics` -- the registry (counters, gauges,
   histograms, timers) and the process-wide enable/disable switch with a
   no-op disabled path;
 * :mod:`repro.obs.instrument` -- publishers that snapshot component
   counters (links, queues, TCP, runner) into the registry;
-* :mod:`repro.obs.runlog` -- the JSON-lines run-log writer/reader;
 * :mod:`repro.obs.store` -- the sqlite experiment store (queryable
   runs/experiments/cells/metrics/series; ``repro obs query``/``trace``);
 * :mod:`repro.obs.recorder` -- the in-sim flight recorder (bounded
   ring-buffer time-series capture, bit-identical when enabled);
-* :mod:`repro.obs.report` -- the ``repro obs report`` renderer.
+* :mod:`repro.obs.report` -- the ``repro obs report`` renderer (reads
+  stores only).
 
 This ``__init__`` re-exports only :mod:`repro.obs.metrics` names: the
 engine imports the package on its hot path, so the heavier submodules
-(subprocess-using runlog, the report renderer) load on demand.
+(the sqlite store, the report renderer) load on demand.
 """
 
 from repro.obs.metrics import (

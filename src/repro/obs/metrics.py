@@ -1,16 +1,19 @@
 """The metrics registry: counters, gauges, histograms, timers.
 
 Observability is strictly opt-in.  A process-wide *active registry* is
-installed with :func:`enable` (the CLI's ``--metrics`` flag, the obs
-benchmarks, tests) and removed with :func:`disable`; instrumented code
-asks :func:`active` for it.  When no registry is active the answer is
+installed with :func:`enable` (the CLI enables a fresh one per
+experiment under ``--store``; the obs benchmarks and tests enable their
+own) and removed with :func:`disable`; instrumented code asks
+:func:`active` for it.  When no registry is active the answer is
 ``None``, and every instrumentation site is written so that the disabled
-path costs at most one ``is None`` check *per run or per batch* -- never
-per event or per packet:
+path costs one ``is None`` check *per run or per batch*, plus at most a
+branch on a local bool per event -- never a registry lookup per event
+or per packet:
 
-* the simulator's dispatch loop selects between its original
-  uninstrumented loop and an instrumented twin once per
-  :meth:`~repro.sim.engine.Simulator.run` call;
+* the simulator calls :func:`active` once per
+  :meth:`~repro.sim.engine.Simulator.run`; its dispatch loops
+  (``_run_heap`` / ``_run_calendar``) then test a local ``track`` bool
+  per event for peak-depth bookkeeping;
 * links, queues, and TCP senders are not touched at all on the hot
   path -- they already keep cumulative counters, and the obs layer
   *snapshots* those counters after a run instead of observing every
@@ -78,7 +81,7 @@ class Gauge:
 class Histogram:
     """Streaming count/sum/min/max/mean of observed samples.
 
-    Deliberately bucket-free: the run log wants compact summaries, and
+    Deliberately bucket-free: the store wants compact summaries, and
     the handful of consumers (cell wall times, cwnd spreads) only need
     the moments, not quantiles.
     """
@@ -303,8 +306,8 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Install (and return) the process-wide registry.
 
     With no argument a fresh empty registry is installed -- the CLI does
-    this per experiment so each run-log record snapshots one experiment,
-    not the whole invocation.
+    this per experiment so each experiment row in the store snapshots
+    one experiment, not the whole invocation.
     """
     global _ACTIVE
     _ACTIVE = registry if registry is not None else MetricsRegistry()

@@ -1,39 +1,27 @@
-"""``repro obs report``: summarize run logs and experiment stores.
+"""``repro obs report``: summarize experiment stores.
 
-Renders a fixed-width table with one row per ``experiment``/``bench``
-record -- name, wall time, runner cell accounting (with the cache-hit
-ratio), engine throughput, and the headline simulation outcomes
-(delivered goodput, bottleneck drop rate) -- followed by a totals line.
-Fields a record lacks render as ``-``; the report never fails on a
-sparse log.
-
-Sources: each path may be a JSON-lines run log or an sqlite experiment
-store (:mod:`repro.obs.store`).  A log whose records point at a store
-(the ``store`` field ``--store`` dual-writes) is upgraded to that store
-when the file still exists -- the store holds the same records plus
-the queryable cell/series tables, so it is preferred.
+Renders a fixed-width table with one row per experiment record
+(:meth:`repro.obs.store.ExperimentStore.experiment_records`) -- name,
+wall time, runner cell accounting (with the cache-hit ratio), engine
+throughput, and the headline simulation outcomes (delivered goodput,
+bottleneck drop rate) -- followed by a totals line.  Fields a record
+lacks render as ``-``; the report never fails on a sparse store (an
+experiment killed mid-run has no wall time yet).
 
 ``sort`` orders rows by arrival time (default), name, or elapsed wall
 time; ``last`` keeps only the N most recent records, so accumulated
-logs stay readable.
+stores stay readable.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.obs.runlog import read_run_log
-
-__all__ = ["render_report", "summarize_records", "resolve_sources",
-           "SORT_CHOICES"]
+__all__ = ["render_report", "summarize_records", "SORT_CHOICES"]
 
 #: valid ``sort`` values (the CLI's ``--sort`` choices).
 SORT_CHOICES = ("time", "name", "elapsed")
-
-#: record kinds that get a table row (a "run" record is the CLI's own
-#: invocation summary -- reported in the footer, not as a row).
-_ROW_KINDS = ("experiment", "bench")
 
 
 def _fmt(value: Optional[float], spec: str = ".1f") -> str:
@@ -120,16 +108,16 @@ def _format_row(values: Sequence[str]) -> str:
 
 def summarize_records(records: Iterable[dict], *, sort: str = "time",
                       last: Optional[int] = None) -> str:
-    """The report body for an iterable of parsed records.
+    """The report body for an iterable of experiment records.
 
-    *sort*: ``"time"`` keeps arrival order (logs append
+    *sort*: ``"time"`` keeps arrival order (stores append
     chronologically), ``"name"`` sorts alphabetically, ``"elapsed"``
     sorts by wall time, most expensive first.  *last* keeps only the N
     most recent records (applied before sorting).
     """
     if sort not in SORT_CHOICES:
         raise ValueError(f"sort must be one of {SORT_CHOICES}, got {sort!r}")
-    rows = [_Row(r) for r in records if r.get("record") in _ROW_KINDS]
+    rows = [_Row(r) for r in records]
     if last is not None:
         if last < 0:
             raise ValueError(f"last must be >= 0, got {last}")
@@ -201,84 +189,14 @@ def summarize_records(records: Iterable[dict], *, sort: str = "time",
     return "\n".join(lines)
 
 
-def _store_for_log(records: List[dict],
-                   log_path: pathlib.Path) -> Optional[pathlib.Path]:
-    """The store every row record of a log points at, if one exists.
-
-    A log is upgraded only when *all* of its row records carry the same
-    ``store`` pointer and that file is a real sqlite store -- a mixed
-    log (some runs dual-written, some not) keeps its JSONL view so no
-    record silently disappears.  Pointers are tried as written, then
-    relative to the log's own directory (logs move with their results
-    folder).
-    """
-    from repro.obs.store import is_store
-
-    rows = [r for r in records if r.get("record") in _ROW_KINDS]
-    pointers = {r.get("store") for r in rows}
-    if not rows or len(pointers) != 1:
-        return None
-    pointer = pointers.pop()
-    if not isinstance(pointer, str):
-        return None
-    for candidate in (pathlib.Path(pointer),
-                      log_path.parent / pathlib.Path(pointer).name):
-        if candidate.is_file() and is_store(candidate):
-            return candidate
-    return None
-
-
-def resolve_sources(
-        paths: Sequence[Union[str, pathlib.Path]],
-) -> List[Tuple[str, pathlib.Path]]:
-    """Classify report inputs into ``("log" | "store", path)`` pairs.
-
-    Sqlite stores are recognized by content (not extension); JSONL logs
-    whose records all point at one existing store are upgraded to it.
-    Duplicate sources (two logs pointing at the same store) collapse to
-    one entry.
-    """
-    from repro.obs.store import is_store
-
-    sources: List[Tuple[str, pathlib.Path]] = []
-    seen = set()
-
-    def add(kind: str, path: pathlib.Path) -> None:
-        key = (kind, str(path))
-        if key not in seen:
-            seen.add(key)
-            sources.append((kind, path))
-
-    for raw in paths:
-        path = pathlib.Path(raw)
-        if path.is_file() and is_store(path):
-            add("store", path)
-            continue
-        store = _store_for_log(read_run_log(path), path)
-        if store is not None:
-            add("store", store)
-        else:
-            add("log", path)
-    return sources
-
-
-def _source_records(kind: str, path: pathlib.Path) -> List[dict]:
-    if kind == "store":
-        from repro.obs.store import ExperimentStore
-
-        with ExperimentStore(path) as store:
-            return store.experiment_records()
-    return read_run_log(path)
-
-
 def render_report(paths: Sequence[Union[str, pathlib.Path]], *,
                   sort: str = "time", last: Optional[int] = None) -> str:
-    """Render a combined report over run-log files and/or stores."""
-    sources = resolve_sources(paths)
+    """Render one combined report over experiment stores."""
+    from repro.obs.store import open_readonly
+
     records: List[dict] = []
-    for kind, path in sources:
-        records.extend(_source_records(kind, path))
-    header = "run-log report: " + ", ".join(
-        f"{path} (store)" if kind == "store" else str(path)
-        for kind, path in sources)
+    for path in paths:
+        with open_readonly(path) as store:
+            records.extend(store.experiment_records())
+    header = "experiment-store report: " + ", ".join(str(p) for p in paths)
     return header + "\n" + summarize_records(records, sort=sort, last=last)

@@ -9,23 +9,25 @@ in-memory memo entry all share one identity -- plus scalar ``metrics``
 and sampled time ``series`` (float64 blobs captured by the flight
 recorder, :mod:`repro.obs.recorder`).
 
-The JSON-lines run log (:mod:`repro.obs.runlog`) stays the wire
-format: the CLI dual-writes both, and
-:meth:`ExperimentStore.experiment_records` reconstructs runlog-shaped
-records from the store so ``repro obs report`` can render either
-source identically.
+The store is the only telemetry sink: ``repro <experiment> --store``
+writes it, and ``repro obs report`` renders its experiment rows
+(:meth:`ExperimentStore.experiment_records`).
 
-Concurrency: only the parent process ever holds the connection --
-worker processes return series blobs by value -- so parallel runs
-never contend on sqlite.  Everything is stdlib ``sqlite3``; there is
-no new dependency.
+Concurrency: within one invocation only the parent process holds the
+connection -- pool workers return series blobs by value -- so its
+workers never contend on sqlite.  Concurrent invocations that share
+one store file do contend; each commit is a short transaction, and
+sqlite's default busy timeout serializes them.  Everything is stdlib
+``sqlite3``; there is no new dependency.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import sqlite3
+import subprocess
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -34,10 +36,32 @@ import numpy as np
 from repro.obs.recorder import Series
 
 __all__ = ["ExperimentStore", "CANNED_QUERIES", "DEFAULT_STORE_NAME",
-           "open_readonly", "is_store"]
+           "open_readonly", "is_store", "git_sha"]
 
 #: where ``--store`` writes when no path is given.
 DEFAULT_STORE_NAME = "runlog.sqlite"
+
+
+@functools.lru_cache(maxsize=1)
+def git_sha() -> Optional[str]:
+    """The current checkout's short commit SHA, or ``None``.
+
+    Best-effort provenance for ``runs.git_sha``: any failure (no git
+    binary, not a checkout, timeout) degrades to ``None`` rather than
+    raising.  Cached per process (``git_sha.cache_clear()`` resets):
+    the SHA cannot change mid-run, and shelling out per run would
+    perturb timing-sensitive benches.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=pathlib.Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=5.0,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -369,14 +393,14 @@ class ExperimentStore:
         ).fetchall()
 
     # ------------------------------------------------------------------
-    # runlog-record reconstruction (report compatibility)
+    # report records
     # ------------------------------------------------------------------
     def experiment_records(self) -> List[dict]:
-        """Runlog-shaped ``experiment`` records, oldest first.
+        """One dict per experiment row, oldest first (``repro obs report``).
 
-        Byte-compatible with what the CLI's ``--metrics`` writer logs
-        for the same run (the store↔runlog equivalence contract), so
-        ``repro obs report`` renders either source identically.
+        Keys: ``name``, ``timestamp``, ``git_sha``, ``full`` and
+        ``metrics`` always; ``elapsed_seconds`` and ``runner`` once the
+        experiment has finished.
         """
         records = []
         rows = self._db.execute(
@@ -387,12 +411,10 @@ class ExperimentStore:
         for (experiment_id, name, timestamp, elapsed, runner, sha,
              full) in rows:
             record = {
-                "record": "experiment",
                 "name": name,
                 "timestamp": timestamp,
                 "git_sha": sha,
                 "full": bool(full),
-                "store": str(self.path),
             }
             if elapsed is not None:
                 record["elapsed_seconds"] = elapsed

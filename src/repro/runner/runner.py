@@ -188,12 +188,6 @@ class RunnerStats:
         cached = self.cache_hits - mark[1]
         memo = self.memo_hits - mark[2]
         total = executed + cached + memo
-        # Marks from before the warm-start / planner counters existed
-        # are accepted as zero baselines (run-log replay tooling stores
-        # them).
-        warm_mark = mark[4:7] if len(mark) >= 7 else (0, 0, 0.0)
-        planner_mark = mark[7:12] if len(mark) >= 12 else (0, 0, 0, 0, 0.0)
-        fluid_mark = mark[12] if len(mark) >= 13 else 0
         return {
             "cells": total,
             "executed": executed,
@@ -201,21 +195,19 @@ class RunnerStats:
             "memo_hits": memo,
             "hit_ratio": ((cached + memo) / total) if total else 0.0,
             "executed_seconds": self.executed_seconds - mark[3],
-            "warm_starts": self.warm_starts - warm_mark[0],
-            "warmup_sims": self.warmup_sims - warm_mark[1],
-            "warmup_seconds_saved": self.warmup_seconds_saved - warm_mark[2],
-            "planner_rounds": self.planner_rounds - planner_mark[0],
-            "planner_cells_saved": self.planner_cells_saved - planner_mark[1],
-            "planner_seeds_saved": self.planner_seeds_saved - planner_mark[2],
-            "truncated_cells": self.truncated_cells - planner_mark[3],
-            "truncated_sim_seconds": (
-                self.truncated_sim_seconds - planner_mark[4]
-            ),
-            "fluid_cells": self.fluid_cells - fluid_mark,
+            "warm_starts": self.warm_starts - mark[4],
+            "warmup_sims": self.warmup_sims - mark[5],
+            "warmup_seconds_saved": self.warmup_seconds_saved - mark[6],
+            "planner_rounds": self.planner_rounds - mark[7],
+            "planner_cells_saved": self.planner_cells_saved - mark[8],
+            "planner_seeds_saved": self.planner_seeds_saved - mark[9],
+            "truncated_cells": self.truncated_cells - mark[10],
+            "truncated_sim_seconds": self.truncated_sim_seconds - mark[11],
+            "fluid_cells": self.fluid_cells - mark[12],
         }
 
     def snapshot(self) -> dict:
-        """JSON-ready cumulative accounting (feeds run logs / metrics)."""
+        """JSON-ready cumulative accounting (feeds the store / metrics)."""
         snap = self.delta_snapshot(_ZERO_MARK)
         snap.update({
             "seed_fanout": len(self.seeds),

@@ -414,7 +414,7 @@ class Link:
 
         Reads the counters :meth:`send` already maintains (plus the
         discipline's), so snapshotting costs nothing on the per-packet
-        path.  Keys are stable: the run-log schema and
+        path.  Keys are stable: the store's ``metrics`` rows and
         ``repro obs report`` rely on them.
         """
         snap = {

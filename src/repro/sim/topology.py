@@ -167,11 +167,10 @@ class DumbbellConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    #: scheduler backend for the engine ("heap"/"calendar"/"auto");
-    #: ``None`` defers to ``REPRO_SCHEDULER`` / the engine default.
+    #: scheduler backend for the engine ("heap"/"calendar"/"auto").
     #: ``compare=False``: backends dispatch bit-identically, so the
     #: choice must not split the runner's result-cache keys.
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
+    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -537,7 +536,7 @@ class ParkingLotConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
+    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_segments < 1:

@@ -125,11 +125,11 @@ class TestbedConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=_linux_tcp_config)
     use_red: bool = True
     seed: int = 7
-    #: scheduler backend for the simulator ("heap", "calendar", "auto",
-    #: or None for the engine default).  Excluded from equality/hash:
-    #: backends dispatch bit-identically, so the choice must not split
-    #: the runner's result-cache keys.
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
+    #: scheduler backend for the simulator ("heap", "calendar" or
+    #: "auto").  Excluded from equality/hash: backends dispatch
+    #: bit-identically, so the choice must not split the runner's
+    #: result-cache keys.
+    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:

@@ -8,7 +8,6 @@ instead of ``0.05``.
 """
 
 from repro.util.env import (
-    env_choice,
     env_flag,
     env_float,
     env_int,
@@ -57,7 +56,6 @@ __all__ = [
     "check_positive",
     "check_probability",
     "check_range",
-    "env_choice",
     "env_flag",
     "env_float",
     "env_int",

@@ -14,19 +14,17 @@ Conventions:
 * Boolean flags accept ``1/true/yes/on`` and ``0/false/no/off``
   (case-insensitive).  Anything else is an error: ``REPRO_FULL=ture``
   should fail loudly, not silently run the scaled-down sweeps.
-* Choice variables are matched case-insensitively against the
-  documented alternatives.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.util.errors import ValidationError
 
-__all__ = ["env_raw", "env_flag", "env_int", "env_float", "env_choice",
-           "env_str", "TRUTHY", "FALSY"]
+__all__ = ["env_raw", "env_flag", "env_int", "env_float", "env_str",
+           "TRUTHY", "FALSY"]
 
 #: Accepted spellings for boolean environment flags.
 TRUTHY: Tuple[str, ...] = ("1", "true", "yes", "on")
@@ -100,20 +98,5 @@ def env_float(name: str, default: float,
     if minimum is not None and value < minimum:
         raise ValidationError(
             f"environment variable {name} must be >= {minimum}, got {value}"
-        )
-    return value
-
-
-def env_choice(name: str, choices: Sequence[str],
-               default: Optional[str] = None) -> Optional[str]:
-    """One of *choices* (case-insensitive), or *default* when unset."""
-    raw = env_raw(name)
-    if raw is None:
-        return default
-    value = raw.lower()
-    if value not in choices:
-        raise ValidationError(
-            f"environment variable {name} must be one of "
-            f"{tuple(choices)}, got {raw!r}"
         )
     return value

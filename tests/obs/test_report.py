@@ -1,20 +1,12 @@
 """The ``repro obs report`` renderer."""
 
-import json
-
 import pytest
 
-from repro.obs.report import (
-    SORT_CHOICES,
-    render_report,
-    resolve_sources,
-    summarize_records,
-)
+from repro.obs.report import SORT_CHOICES, render_report, summarize_records
 
 
 def experiment_record(name="fig06", **overrides):
     record = {
-        "record": "experiment",
         "name": name,
         "elapsed_seconds": 12.5,
         "runner": {"cells": 32, "hit_ratio": 0.25},
@@ -43,18 +35,10 @@ class TestSummarize:
         assert "10.0" in row      # drop %
 
     def test_sparse_record_renders_dashes(self):
-        text = summarize_records([
-            {"record": "experiment", "name": "fig04"},
-        ])
+        text = summarize_records([{"name": "fig04"}])
         row = text.splitlines()[2]
         assert "fig04" in row
         assert "-" in row
-
-    def test_run_records_excluded_from_rows(self):
-        text = summarize_records([
-            {"record": "run", "name": "all"},
-        ])
-        assert "(no experiment records)" in text
 
     def test_pipe_link_used_for_testbed_records(self):
         record = experiment_record(name="fig12")
@@ -99,7 +83,7 @@ class TestSortAndLast:
         assert self.row_names(text) == ["fig06", "fig07", "fig09"]
 
     def test_elapsed_sort_puts_sparse_rows_last(self):
-        records = self.records() + [{"record": "experiment", "name": "zz"}]
+        records = self.records() + [{"name": "zz"}]
         text = summarize_records(records, sort="elapsed")
         assert self.row_names(text)[-1] == "zz"
 
@@ -140,94 +124,32 @@ def store_with(tmp_path, names, store_name="runlog.sqlite"):
     return store.path
 
 
-class TestResolveSources:
-    def test_store_recognized_by_content(self, tmp_path):
-        path = store_with(tmp_path, ["fig06"], store_name="data.bin")
-        assert resolve_sources([path]) == [("store", path)]
-
-    def test_plain_log_stays_a_log(self, tmp_path):
-        log = tmp_path / "one.jsonl"
-        log.write_text(json.dumps(experiment_record("fig06")) + "\n")
-        assert resolve_sources([log]) == [("log", log)]
-
-    def test_log_upgraded_to_its_store(self, tmp_path):
-        store_path = store_with(tmp_path, ["fig06"])
-        log = tmp_path / "runlog.jsonl"
-        record = experiment_record("fig06", store=str(store_path))
-        log.write_text(json.dumps(record) + "\n")
-        assert resolve_sources([log]) == [("store", store_path)]
-
-    def test_mixed_log_not_upgraded(self, tmp_path):
-        # One record predates --store: upgrading would drop it, so the
-        # log keeps its JSONL view.
-        store_path = store_with(tmp_path, ["fig06"])
-        log = tmp_path / "runlog.jsonl"
-        log.write_text(
-            json.dumps(experiment_record("fig04")) + "\n"
-            + json.dumps(experiment_record("fig06",
-                                           store=str(store_path))) + "\n")
-        assert resolve_sources([log]) == [("log", log)]
-
-    def test_dangling_store_pointer_keeps_log(self, tmp_path):
-        log = tmp_path / "runlog.jsonl"
-        record = experiment_record("fig06",
-                                   store=str(tmp_path / "gone.sqlite"))
-        log.write_text(json.dumps(record) + "\n")
-        assert resolve_sources([log]) == [("log", log)]
-
-    def test_log_and_its_store_collapse_to_one_source(self, tmp_path):
-        store_path = store_with(tmp_path, ["fig06"])
-        log = tmp_path / "runlog.jsonl"
-        record = experiment_record("fig06", store=str(store_path))
-        log.write_text(json.dumps(record) + "\n")
-        assert resolve_sources([log, store_path]) == [
-            ("store", store_path)]
-
-
 class TestRenderReport:
-    def test_merges_multiple_logs(self, tmp_path):
-        first = tmp_path / "one.jsonl"
-        second = tmp_path / "two.jsonl"
-        first.write_text(json.dumps(experiment_record("fig06")) + "\n")
-        second.write_text(json.dumps(experiment_record("fig07")) + "\n")
+    def test_merges_multiple_stores(self, tmp_path):
+        first = store_with(tmp_path, ["fig06"], store_name="one.sqlite")
+        second = store_with(tmp_path, ["fig07"], store_name="two.sqlite")
         text = render_report([first, second])
         assert "fig06" in text
         assert "fig07" in text
-        assert str(first) in text
+        assert str(first) in text.splitlines()[0]
+        assert "2 records" in text
 
     def test_renders_store_source(self, tmp_path):
         path = store_with(tmp_path, ["fig06", "fig07"])
         text = render_report([path])
-        assert f"{path} (store)" in text
+        assert text.splitlines()[0] == f"experiment-store report: {path}"
         assert "fig06" in text
         assert "2 records" in text
+        assert "8 cells" in text
 
     def test_sort_and_last_forwarded(self, tmp_path):
-        log = tmp_path / "log.jsonl"
-        log.write_text(
-            json.dumps(experiment_record("zz", timestamp=1.0)) + "\n"
-            + json.dumps(experiment_record("aa", timestamp=2.0)) + "\n")
-        text = render_report([log], sort="name", last=1)
+        path = store_with(tmp_path, ["zz", "aa"])
+        text = render_report([path], sort="name", last=1)
         assert "1 records" in text
         assert "aa" in text
         assert "\nzz" not in text
 
-    def test_store_and_log_render_identical_rows(self, tmp_path):
-        # The store<->runlog equivalence, end to end through the
-        # renderer: the same run reported from either source gives the
-        # same table body.
-        from repro.obs.store import ExperimentStore
-        from repro.obs.runlog import RunLogWriter
-
-        store_path = store_with(tmp_path, ["fig06"])
-        with ExperimentStore(store_path) as store:
-            records = store.experiment_records()
-        log = tmp_path / "copy.jsonl"
-        writer = RunLogWriter(log)
-        for record in records:
-            record = dict(record)
-            record.pop("store")  # break the upgrade link on purpose
-            writer.write(record)
-        from_store = render_report([store_path]).splitlines()[1:]
-        from_log = render_report([log]).splitlines()[1:]
-        assert from_store == from_log
+    def test_missing_store_is_not_created(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such"):
+            render_report([tmp_path / "absent.sqlite"])
+        assert not (tmp_path / "absent.sqlite").exists()

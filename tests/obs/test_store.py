@@ -1,15 +1,20 @@
-"""The sqlite experiment store: schema, round trips, canned queries."""
+"""The sqlite experiment store: schema, round trips, canned queries,
+provenance, and robustness under concurrent and killed writers."""
 
 import json
+import multiprocessing
+import signal
 
 import numpy as np
 import pytest
 
 from repro.core.attack import PulseTrain
 from repro.obs.recorder import FlightRecorder
+from repro.obs.report import render_report
 from repro.obs.store import (
     CANNED_QUERIES,
     ExperimentStore,
+    git_sha,
     is_store,
     open_readonly,
 )
@@ -156,13 +161,11 @@ class TestRecordCell:
             (None, None)]
 
 
-class TestRunlogEquivalence:
-    def test_store_records_match_runlog_records(self, tmp_path):
-        # The equivalence contract: a store reconstructs byte-identical
-        # runlog-shaped records, so `repro obs report` renders either
-        # source the same.
-        from repro.obs.runlog import RunLogWriter, read_run_log
-
+class TestRunAndExperimentRows:
+    def test_experiment_records_round_trip(self, tmp_path):
+        # `repro obs report` renders these dicts: every finished
+        # experiment comes back with its run's provenance, its runner
+        # delta and its metrics, scalar or not.
         store = make_store(tmp_path)
         metrics = {"engine.events_dispatched": 1000.0,
                    "engine.wall_seconds": 0.5,
@@ -170,14 +173,11 @@ class TestRunlogEquivalence:
         runner = {"cells": 3, "hit_ratio": 0.0}
         store.finish_experiment(elapsed_seconds=1.5, runner=runner,
                                 metrics=metrics)
-        record = {
-            "record": "experiment", "name": "fig06", "timestamp": 101.0,
-            "git_sha": "abc1234", "full": False, "store": str(store.path),
-            "elapsed_seconds": 1.5, "runner": runner, "metrics": metrics,
-        }
-        log = tmp_path / "runlog.jsonl"
-        RunLogWriter(log).write(record)
-        assert store.experiment_records() == read_run_log(log)
+        assert store.experiment_records() == [{
+            "name": "fig06", "timestamp": 101.0, "git_sha": "abc1234",
+            "full": False, "elapsed_seconds": 1.5, "runner": runner,
+            "metrics": metrics,
+        }]
 
     def test_run_accounting_persisted(self, tmp_path):
         store = make_store(tmp_path)
@@ -186,6 +186,171 @@ class TestRunlogEquivalence:
         names, rows = store.query(
             "SELECT name, git_sha, elapsed_seconds, runner FROM runs")
         assert rows == [("all", "abc1234", 2.5, '{"cells": 4}')]
+
+
+class TestProvenance:
+    def test_git_sha_in_this_checkout(self):
+        # The repo is a git checkout, so a short SHA should come back;
+        # the function contract allows None only outside a checkout.
+        sha = git_sha()
+        assert sha is None or (isinstance(sha, str) and len(sha) >= 7)
+
+    def test_git_sha_cached_per_process(self, monkeypatch):
+        # One subprocess call per process: the cached value answers
+        # repeat calls even if git stops working mid-run.
+        import subprocess
+
+        git_sha.cache_clear()
+        try:
+            first = git_sha()
+
+            def boom(*args, **kwargs):
+                raise OSError("git gone")
+
+            monkeypatch.setattr(subprocess, "run", boom)
+            assert git_sha() == first      # served from the cache
+            git_sha.cache_clear()
+            assert git_sha() is None       # a cold call really shells out
+        finally:
+            git_sha.cache_clear()
+
+
+CELLS_PER_EXPERIMENT = 5
+
+
+def _synthetic_cell():
+    from repro.runner import Cell, CellResult, PlatformSpec
+
+    cell = Cell(platform=PlatformSpec(kind="dumbbell", n_flows=2, seed=7),
+                warmup=1.0, window=2.0)
+    return cell, CellResult(goodput_bytes=1000.0)
+
+
+def _write_experiment(store, writer, index):
+    """One experiment row with its cells and metrics, as the CLI writes."""
+    cell, result = _synthetic_cell()
+    store.begin_experiment(f"w{writer}-e{index}")
+    for j in range(CELLS_PER_EXPERIMENT):
+        store.record_cell(f"w{writer}-e{index}-c{j}", cell, result,
+                          source="executed", elapsed=0.001)
+    store.finish_experiment(elapsed_seconds=0.01,
+                            runner={"cells": CELLS_PER_EXPERIMENT},
+                            metrics={"writer": writer, "index": index})
+
+
+def _concurrent_writer(path, writer, experiments):
+    store = ExperimentStore(path)
+    store.begin_run(f"writer-{writer}")
+    for index in range(experiments):
+        _write_experiment(store, writer, index)
+    store.finish_run(elapsed_seconds=1.0)
+    store.close()
+
+
+def _endless_writer(path, first_done):
+    store = ExperimentStore(path)
+    store.begin_run("doomed")
+    index = 0
+    while True:
+        _write_experiment(store, 0, index)
+        first_done.set()
+        index += 1
+
+
+#: writer processes start from a fresh import, like separate invocations.
+SPAWN = multiprocessing.get_context("spawn")
+
+
+class TestConcurrentWriters:
+    WRITERS = 4
+    EXPERIMENTS = 20
+
+    def test_every_row_lands_attached_to_its_writer(self, tmp_path):
+        # Concurrent invocations sharing one store file: sqlite's busy
+        # timeout serializes their short commit transactions.
+        path = tmp_path / "shared.sqlite"
+        procs = [SPAWN.Process(target=_concurrent_writer,
+                             args=(path, writer, self.EXPERIMENTS))
+                 for writer in range(self.WRITERS)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0] * self.WRITERS
+
+        experiments = self.WRITERS * self.EXPERIMENTS
+        with open_readonly(path) as store:
+            def count(table):
+                return store.query(f"SELECT count(*) FROM {table}")[1][0][0]
+
+            assert count("runs") == self.WRITERS
+            assert count("experiments") == experiments
+            assert count("cells") == experiments * CELLS_PER_EXPERIMENT
+            assert count("metrics") == experiments * 2
+            # Each cell hangs off its own writer's experiment, and each
+            # experiment off its own writer's run.
+            _, rows = store.query(
+                "SELECT c.key, e.name, r.name FROM cells c"
+                " JOIN experiments e ON c.experiment_id = e.experiment_id"
+                " JOIN runs r ON e.run_id = r.run_id")
+            for key, experiment, run in rows:
+                writer, index, _ = key.split("-")
+                assert experiment == f"{writer}-{index}"
+                assert run == f"writer-{writer[1:]}"
+            _, rows = store.query(
+                "SELECT e.name, m.value FROM metrics m JOIN experiments e"
+                " ON m.experiment_id = e.experiment_id"
+                " WHERE m.name = 'writer'")
+            assert all(name.startswith(f"w{value:.0f}-")
+                       for name, value in rows)
+
+
+class TestKillMidWrite:
+    def test_store_survives_sigkill(self, tmp_path):
+        path = tmp_path / "killed.sqlite"
+        first_done = SPAWN.Event()
+        proc = SPAWN.Process(target=_endless_writer, args=(path, first_done))
+        proc.start()
+        try:
+            assert first_done.wait(timeout=60)
+            proc.join(timeout=0.2)  # let it get part-way through more rows
+        finally:
+            proc.kill()
+            proc.join(timeout=30)
+        assert proc.exitcode == -signal.SIGKILL
+
+        with ExperimentStore(path) as store:
+            assert store.query("PRAGMA integrity_check")[1] == [("ok",)]
+            _, finished = store.query(
+                "SELECT e.experiment_id, count(c.cell_id) FROM experiments e"
+                " LEFT JOIN cells c ON c.experiment_id = e.experiment_id"
+                " WHERE e.elapsed_seconds IS NOT NULL"
+                " GROUP BY e.experiment_id")
+            assert finished
+            assert all(n == CELLS_PER_EXPERIMENT for _, n in finished)
+            _, in_flight = store.query(
+                "SELECT name FROM experiments WHERE elapsed_seconds IS NULL")
+            assert len(in_flight) <= 1
+
+        # The report renders the torn tail: an unfinished experiment
+        # shows "-" for its wall time.
+        rows = {line.split()[0]: line.split()
+                for line in render_report([path]).splitlines()[3:]
+                if line.startswith("w0-")}
+        assert len(rows) == len(finished) + len(in_flight)
+        for (name,) in in_flight:
+            assert rows[name][1] == "-"
+
+        # A later invocation appends to the same file.
+        with ExperimentStore(path) as store:
+            store.begin_run("after")
+            _write_experiment(store, 1, 0)
+            store.finish_run(elapsed_seconds=1.0)
+            assert store.query(
+                "SELECT count(*) FROM cells c JOIN experiments e"
+                " ON c.experiment_id = e.experiment_id"
+                " WHERE e.name = 'w1-e0'")[1] == [(CELLS_PER_EXPERIMENT,)]
+            assert store.query("PRAGMA integrity_check")[1] == [("ok",)]
 
 
 class TestCannedQueries:

@@ -83,41 +83,6 @@ class TestSnapshots:
             "truncated_sim_seconds": 0.0, "fluid_cells": 0,
         }
 
-    def test_delta_snapshot_accepts_pre_warm_start_marks(self):
-        # Run-log tooling may replay 4-tuple marks from older records;
-        # they baseline the warm-start counters at zero.
-        stats = make_stats(executed=1)
-        stats.warm_starts = 2
-        stats.warmup_seconds_saved = 12.0
-        delta = stats.delta_snapshot((0, 0, 0, 0.0))
-        assert delta["executed"] == 1
-        assert delta["warm_starts"] == 2
-        assert delta["warmup_seconds_saved"] == pytest.approx(12.0)
-
-    def test_delta_snapshot_accepts_pre_planner_marks(self):
-        # 7-tuple marks predate the planner counters; those baseline at
-        # zero while the warm-start fields still subtract.
-        stats = make_stats(executed=1)
-        stats.warm_starts = 3
-        stats.planner_rounds = 2
-        stats.planner_seeds_saved = 9
-        stats.truncated_sim_seconds = 30.0
-        delta = stats.delta_snapshot((0, 0, 0, 0.0, 1, 0, 0.0))
-        assert delta["warm_starts"] == 2
-        assert delta["planner_rounds"] == 2
-        assert delta["planner_seeds_saved"] == 9
-        assert delta["truncated_sim_seconds"] == pytest.approx(30.0)
-
-    def test_delta_snapshot_accepts_pre_fluid_marks(self):
-        # 12-tuple marks predate the fluid-backend counter; it baselines
-        # at zero while later fields still subtract.
-        stats = make_stats(executed=1)
-        stats.fluid_cells = 4
-        delta = stats.delta_snapshot(
-            (0, 0, 0, 0.0, 0, 0, 0.0, 0, 0, 0, 0, 0.0))
-        assert delta["fluid_cells"] == 4
-        assert "4 cells on the fluid backend" in stats.summary()
-
     def test_checkpoint_roundtrip_with_planner_counters(self):
         # A checkpoint taken with planner counters present must zero the
         # delta exactly, and further planner work must subtract cleanly.
@@ -134,11 +99,14 @@ class TestSnapshots:
         stats.planner_rounds += 2
         stats.truncated_cells += 1
         stats.truncated_sim_seconds += 7.5
+        stats.fluid_cells += 4
         delta = stats.delta_snapshot(mark)
         assert delta["planner_rounds"] == 2
         assert delta["planner_cells_saved"] == 0
         assert delta["truncated_cells"] == 1
         assert delta["truncated_sim_seconds"] == pytest.approx(7.5)
+        assert delta["fluid_cells"] == 4
+        assert "4 cells on the fluid backend" in stats.summary()
 
     def test_delta_snapshot_of_empty_batch_is_all_zero(self):
         stats = make_stats(executed=3, cache=1)

@@ -272,7 +272,7 @@ def run_dumbbell(**config_kw):
     return net
 
 
-def run_parking_lot(scheduler=None, until=4.0):
+def run_parking_lot(scheduler="auto", until=4.0):
     config = ParkingLotConfig(
         n_segments=2, long_flows=4, cross_flows=2, seed=5,
         scheduler=scheduler,

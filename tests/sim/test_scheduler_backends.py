@@ -19,7 +19,7 @@ from repro.sim.engine import (
     Simulator,
     scheduler_builds,
 )
-from repro.util.errors import SimulationError, ValidationError
+from repro.util.errors import SimulationError
 
 
 def calendar_sim() -> Simulator:
@@ -31,20 +31,11 @@ class TestSelection:
         assert Simulator(scheduler="heap").scheduler == "heap"
         assert Simulator(scheduler="calendar").scheduler == "calendar"
         assert Simulator(scheduler="auto").scheduler == "heap"  # starts heap
+        assert Simulator().scheduler == "heap"  # the default is auto
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError):
             Simulator(scheduler="splay-tree")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert Simulator().scheduler == "calendar"
-        monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
-        # Environment parsing fails as a ValidationError naming the
-        # variable (uniform across every REPRO_* knob); explicit
-        # scheduler= arguments still raise SimulationError above.
-        with pytest.raises(ValidationError, match="REPRO_SCHEDULER"):
-            Simulator()
 
     def test_builds_counter_tracks_backends(self):
         before = scheduler_builds()

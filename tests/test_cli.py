@@ -53,22 +53,11 @@ class TestParser:
         default = build_parser().parse_args(["fig06", "--no-cache"])
         assert _make_runner(default).warm_start is True
 
-    def test_metrics_flag_off_by_default(self):
+    def test_store_flag_off_by_default(self):
         args = build_parser().parse_args(["fig04"])
-        assert args.metrics is None
+        assert args.store is None
         assert not args.verbose
         assert not args.quiet
-
-    def test_bare_metrics_flag_uses_default_runlog(self):
-        from repro.cli import DEFAULT_RUNLOG
-
-        args = build_parser().parse_args(["fig04", "--metrics"])
-        assert args.metrics == DEFAULT_RUNLOG
-
-    def test_metrics_flag_with_path(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        args = build_parser().parse_args(["fig04", "--metrics", str(path)])
-        assert args.metrics == path
 
     def test_verbose_and_quiet_are_exclusive(self):
         assert build_parser().parse_args(["fig04", "-v"]).verbose
@@ -124,60 +113,6 @@ class TestMain:
         assert "executed in" in out  # per-cell debug line
 
 
-class TestMetricsFlag:
-    def test_writes_experiment_and_run_records(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
-
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--metrics", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"2 records -> {path}" in out
-        records = read_run_log(path)
-        assert [r["record"] for r in records] == ["experiment", "run"]
-        experiment, run = records
-        assert experiment["name"] == "fig01"
-        assert experiment["elapsed_seconds"] > 0
-        assert experiment["metrics"]["engine.events_dispatched"] > 0
-        assert any(key.startswith("link.bottleneck.")
-                   for key in experiment["metrics"])
-        assert any(key.startswith("tcp.") for key in experiment["metrics"])
-        # fig01 simulates directly rather than through runner cells, but
-        # the accounting block is still present in both records.
-        assert experiment["runner"]["hit_ratio"] == 0.0
-        assert run["runner"]["worker_utilization"] is None
-        assert run["experiments"] == ["fig01"]
-
-    def test_appends_across_invocations(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
-
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig04", "--metrics", str(path)]) == 0
-        assert main(["fig04", "--metrics", str(path)]) == 0
-        assert len(read_run_log(path)) == 4
-
-    def test_registry_disabled_after_run(self, capsys, tmp_path):
-        from repro.obs import metrics
-
-        main(["fig04", "--metrics", str(tmp_path / "log.jsonl")])
-        assert metrics.active() is None
-
-
-class TestObsReport:
-    def test_report_renders_run_log(self, capsys, tmp_path):
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--metrics", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["obs", "report", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "fig01" in out
-        assert "kev/s" in out
-        assert "1 records" in out  # run record excluded from the table
-
-    def test_report_missing_log_fails(self, capsys, tmp_path):
-        assert main(["obs", "report", str(tmp_path / "absent.jsonl")]) == 1
-        assert "no such run log" in capsys.readouterr().err
-
-
 class TestStoreFlag:
     def test_bare_store_flag_uses_default_path(self):
         from repro.cli import DEFAULT_STORE
@@ -190,24 +125,51 @@ class TestStoreFlag:
         assert main(["fig04", "--record"]) == 2
         assert "--record requires --store" in capsys.readouterr().err
 
-    def test_dual_writes_store_and_runlog(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
+    def test_writes_experiment_and_run_rows(self, capsys, tmp_path):
+        import json
+
         from repro.obs.store import is_store, open_readonly
 
         db = tmp_path / "runlog.sqlite"
-        log = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--store", str(db),
-                     "--metrics", str(log)]) == 0
+        assert main(["fig01", "--no-cache", "--store", str(db)]) == 0
+        assert f"[experiment store -> {db}]" in capsys.readouterr().out
         assert is_store(db)
-        records = read_run_log(log)
-        assert all(r["store"] == str(db) for r in records)
         with open_readonly(db) as store:
-            assert store.query("SELECT name FROM runs")[1] == [("fig01",)]
-            assert (store.query("SELECT name FROM experiments")[1]
-                    == [("fig01",)])
-            # The equivalence contract, via the real CLI: the store
-            # reconstructs the exact record the run log holds.
-            assert store.experiment_records() == [records[0]]
+            names, runs = store.query(
+                "SELECT name, argv, elapsed_seconds, runner FROM runs")
+            [(name, argv, elapsed, runner)] = runs
+            assert name == "fig01"
+            assert json.loads(argv) == ["fig01", "--no-cache", "--store",
+                                        str(db)]
+            assert elapsed > 0
+            # The invocation-wide RunnerStats snapshot lands on the run.
+            assert json.loads(runner)["worker_utilization"] is None
+            [experiment] = store.experiment_records()
+        assert experiment["name"] == "fig01"
+        assert experiment["elapsed_seconds"] > 0
+        assert experiment["metrics"]["engine.events_dispatched"] > 0
+        assert any(key.startswith("link.bottleneck.")
+                   for key in experiment["metrics"])
+        assert any(key.startswith("tcp.") for key in experiment["metrics"])
+        # fig01 simulates directly rather than through runner cells, but
+        # the accounting block is still present.
+        assert experiment["runner"]["hit_ratio"] == 0.0
+
+    def test_appends_across_invocations(self, capsys, tmp_path):
+        from repro.obs.store import open_readonly
+
+        db = tmp_path / "runlog.sqlite"
+        assert main(["fig04", "--store", str(db)]) == 0
+        assert main(["fig04", "--store", str(db)]) == 0
+        with open_readonly(db) as store:
+            assert store.query("SELECT count(*) FROM runs")[1] == [(2,)]
+            assert len(store.experiment_records()) == 2
+
+    def test_registry_disabled_after_run(self, capsys, tmp_path):
+        from repro.obs import metrics
+
+        main(["fig04", "--store", str(tmp_path / "s.sqlite")])
+        assert metrics.active() is None
 
     def test_recorded_cells_land_in_store(self, capsys, tmp_path):
         # fig06 at smoke scale exercises the full path: runner cells,
@@ -252,6 +214,34 @@ class TestStoreFlag:
         out = capsys.readouterr().out
         assert "gamma_star" in out
         assert "fig06" in out
+
+
+class TestObsReport:
+    def test_report_renders_store(self, capsys, tmp_path):
+        db = tmp_path / "runlog.sqlite"
+        assert main(["fig01", "--no-cache", "--store", str(db)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(db)]) == 0
+        out = capsys.readouterr().out
+        [row] = [line for line in out.splitlines()
+                 if line.startswith("fig01")]
+        # name, wall s, cells, hit %, events, kev/s, goodput MB, drop %
+        fields = row.split()
+        assert len(fields) == 8
+        assert all(value != "-" for value in
+                   (fields[1], fields[4], fields[5], fields[6], fields[7]))
+        assert "kev/s" in out
+        assert "1 records" in out
+
+    def test_report_rejects_non_store(self, capsys, tmp_path):
+        log = tmp_path / "runlog.jsonl"
+        log.write_text('{"record": "experiment", "name": "fig06"}\n')
+        absent = tmp_path / "absent.sqlite"
+        for path in (log, absent):
+            assert main(["obs", "report", str(path)]) == 1
+            assert (f"not an experiment store: {path}"
+                    in capsys.readouterr().err)
+        assert not absent.exists()
 
 
 class TestObsQuery:
@@ -470,7 +460,6 @@ class TestDryRunFlag:
 
     def test_rejects_observability_sinks(self, capsys, tmp_path):
         for extra in (["--store", str(tmp_path / "s.sqlite")],
-                      ["--metrics", str(tmp_path / "m.jsonl")],
                       ["--store", str(tmp_path / "s.sqlite"), "--record"]):
             assert main(["fig01", "--dry-run", *extra]) == 2
             assert "cannot be combined" in capsys.readouterr().err

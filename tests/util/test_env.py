@@ -11,7 +11,6 @@ import pytest
 from repro.util.env import (
     FALSY,
     TRUTHY,
-    env_choice,
     env_flag,
     env_float,
     env_int,
@@ -109,25 +108,6 @@ class TestEnvFloat:
         monkeypatch.setenv(VAR, "-1.0")
         with pytest.raises(ValidationError, match=rf"{VAR} must be >= 0"):
             env_float(VAR, 0.0, minimum=0.0)
-
-
-class TestEnvChoice:
-    CHOICES = ("heap", "calendar", "auto")
-
-    def test_case_insensitive_match(self, monkeypatch):
-        monkeypatch.setenv(VAR, "Calendar")
-        assert env_choice(VAR, self.CHOICES) == "calendar"
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(VAR, raising=False)
-        assert env_choice(VAR, self.CHOICES) is None
-        assert env_choice(VAR, self.CHOICES, default="auto") == "auto"
-
-    def test_unknown_lists_choices_and_value(self, monkeypatch):
-        monkeypatch.setenv(VAR, "splay-tree")
-        with pytest.raises(ValidationError,
-                           match=rf"{VAR}.*'splay-tree'"):
-            env_choice(VAR, self.CHOICES)
 
 
 class TestConsumersRouteThroughHelpers:
