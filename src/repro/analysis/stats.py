@@ -105,9 +105,12 @@ def mean_ci_halfwidth(samples: Sequence[float],
         raise ValidationError("need at least one sample")
     if values.size < 2:
         return math.inf
-    from scipy import stats
+    # stdtrit is what scipy.stats.t.ppf evaluates (bit for bit at
+    # loc=0, scale=1), without importing scipy.stats; it is imported
+    # here so a fresh process that never builds an interval skips scipy.
+    from scipy.special import stdtrit
 
-    critical = stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1)
+    critical = stdtrit(values.size - 1, 0.5 + confidence / 2.0)
     return float(critical * values.std(ddof=1) / math.sqrt(values.size))
 
 

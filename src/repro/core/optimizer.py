@@ -29,8 +29,6 @@ import dataclasses
 import math
 from typing import Optional
 
-from scipy import optimize
-
 from repro.core.attack import PulseTrain
 from repro.core.gain import attack_gain, classify_kappa, RiskPreference
 from repro.core.throughput import VictimPopulation, c_psi
@@ -74,6 +72,10 @@ def optimal_gamma_numerical(c_psi_value: float, kappa: float,
     """Maximize G(γ) numerically on (C_ψ, 1): a cross-check of Eq. (13)."""
     check_fraction("c_psi_value", c_psi_value)
     check_positive("kappa", kappa)
+    # Imported here, not at module level: scipy.optimize dominates a
+    # fresh process's import time and no figure path calls this.
+    from scipy import optimize
+
     result = optimize.minimize_scalar(
         lambda gamma: -attack_gain(gamma, c_psi_value, kappa),
         bounds=(c_psi_value + 1e-12, 1.0 - 1e-12),

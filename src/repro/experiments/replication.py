@@ -13,8 +13,8 @@ import dataclasses
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
+from repro.analysis.stats import mean_ci_halfwidth
 from repro.experiments.base import (
     DumbbellPlatform,
     GainCurve,
@@ -119,12 +119,11 @@ def replicate_gain_sweep(
 
     points: List[ReplicatedPoint] = []
     n = len(seeds)
-    t_value = stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
     for index, gamma in enumerate(gammas):
         samples = np.array([c.points[index].measured_gain for c in curves])
         mean = float(samples.mean())
         std = float(samples.std(ddof=1))
-        half_width = t_value * std / np.sqrt(n)
+        half_width = mean_ci_halfwidth(samples, confidence)
         points.append(ReplicatedPoint(
             gamma=float(gamma),
             analytic_gain=curves[0].points[index].analytic_gain,

@@ -58,15 +58,23 @@ class TestFlowDamage:
 
 
 class TestMeanCI:
-    def test_known_halfwidth(self):
+    # n = 2..4 covers the planner's FAST_POLICY (at most 3 seeds) and
+    # replication's three default seeds.
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_known_halfwidth(self, confidence, n):
+        import math
+
+        import numpy as np
         from scipy import stats as sps
 
         from repro.analysis.stats import mean_ci_halfwidth
 
-        samples = [1.0, 2.0, 3.0, 4.0]
-        expected = (sps.t.ppf(0.975, df=3)
-                    * (5.0 / 3.0) ** 0.5 / 2.0)
-        assert mean_ci_halfwidth(samples) == pytest.approx(expected)
+        samples = [float(i) for i in range(1, n + 1)]
+        # Bit for bit: the quantile must be exactly scipy.stats.t.ppf's.
+        expected = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+                         * np.std(samples, ddof=1) / math.sqrt(n))
+        assert mean_ci_halfwidth(samples, confidence) == expected
 
     def test_single_sample_is_unbounded(self):
         from repro.analysis.stats import mean_ci_halfwidth

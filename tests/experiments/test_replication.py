@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stats import mean_ci_halfwidth
 from repro.experiments.base import DumbbellPlatform
 from repro.experiments.replication import replicate_gain_sweep
 from repro.util.errors import ValidationError
@@ -33,6 +34,15 @@ class TestReplication:
                 c.points[index].measured_gain for c in replicated.curves
             ]
             assert p.mean_gain == pytest.approx(sum(samples) / len(samples))
+
+    def test_ci_is_the_shared_t_interval(self, replicated):
+        for index, p in enumerate(replicated.points):
+            samples = [
+                c.points[index].measured_gain for c in replicated.curves
+            ]
+            half_width = mean_ci_halfwidth(samples)
+            assert p.ci_high == p.mean_gain + half_width
+            assert p.ci_low == p.mean_gain - half_width
 
     def test_seeds_counted(self, replicated):
         assert all(p.n_seeds == 3 for p in replicated.points)

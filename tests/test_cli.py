@@ -1,5 +1,11 @@
 """The command-line experiment runner."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -116,7 +122,9 @@ class TestMain:
 class TestStoreFlag:
     def test_bare_store_flag_uses_default_path(self):
         from repro.cli import DEFAULT_STORE
+        from repro.obs.store import DEFAULT_STORE_NAME
 
+        assert DEFAULT_STORE == pathlib.Path(DEFAULT_STORE_NAME)
         args = build_parser().parse_args(["fig04", "--store"])
         assert args.store == DEFAULT_STORE
         assert not args.record
@@ -463,3 +471,36 @@ class TestDryRunFlag:
                       ["--store", str(tmp_path / "s.sqlite"), "--record"]):
             assert main(["fig01", "--dry-run", *extra]) == 2
             assert "cannot be combined" in capsys.readouterr().err
+
+
+class TestStartupImports:
+    """A fresh process that only replays figures never imports scipy."""
+
+    _REPORT = ("import json, sys; print(json.dumps(sorted(m for m in "
+               "sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+
+    def _scipy_modules(self, code):
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code + "\n" + self._REPORT],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_benchmark_setup_imports_skip_scipy(self):
+        assert self._scipy_modules(
+            "import repro.cli, repro.experiments\n"
+            "from repro.runner import ExperimentRunner, code_version\n"
+            "code_version('packet')") == []
+
+    def test_help_skips_scipy(self):
+        assert self._scipy_modules(
+            "import repro.cli\n"
+            "try:\n"
+            "    repro.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass") == []
