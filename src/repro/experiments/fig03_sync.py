@@ -143,7 +143,7 @@ def run_fig03_testbed(*, horizon: Optional[float] = None) -> SyncResult:
     def observe(packet, now, accepted, _monitor=monitor, _offset=offset):
         _monitor.observe(packet, now - _offset, accepted)
 
-    net.pipe_link.monitors.append(observe)
+    net.bottleneck.monitors.append(observe)
     source = net.add_attack(train, start_time=warmup)
     source.start()
     net.run(until=warmup + horizon)

@@ -156,15 +156,15 @@ class SeriesRecorder:
 def contested_links(net) -> List[Tuple[str, object]]:
     """The network's contested links as ``(label, link)`` pairs.
 
-    Duck-typed over the dumbbell (``bottleneck``/``reverse_bottleneck``)
-    and the test-bed (``pipe_link``/``pipe_return_link``); labels match
-    the ones :func:`repro.obs.instrument.publish_network` publishes
-    under, so store queries and metric names agree.
+    The bottleneck and its return link, under the label the network
+    declares for them (``bottleneck`` or the test-bed's ``pipe``, plus
+    ``_reverse``) -- on the dumbbell and test-bed the same labels
+    :func:`repro.obs.instrument.publish_network` publishes them under,
+    so store queries and metric names agree.
     """
-    if hasattr(net, "bottleneck"):
-        return [("bottleneck", net.bottleneck),
-                ("bottleneck_reverse", net.reverse_bottleneck)]
-    return [("pipe", net.pipe_link), ("pipe_reverse", net.pipe_return_link)]
+    label = net.bottleneck_label
+    return [(label, net.bottleneck),
+            (f"{label}_reverse", net.reverse_bottleneck)]
 
 
 class _SenderTap:

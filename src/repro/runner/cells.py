@@ -63,6 +63,14 @@ def _train_payload(train: Optional[PulseTrain]) -> Optional[dict]:
     }
 
 
+#: Platform kind -> scenario builder.
+_BUILDERS = {
+    "dumbbell": build_dumbbell,
+    "parking_lot": build_parking_lot,
+    "testbed": build_testbed,
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class PlatformSpec:
     """A serializable description of one measurement environment.
@@ -97,7 +105,7 @@ class PlatformSpec:
     extra: Optional[Tuple[Tuple[str, object], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dumbbell", "testbed", "parking_lot"):
+        if self.kind not in _BUILDERS:
             raise ValidationError(
                 f"kind must be 'dumbbell', 'testbed', or 'parking_lot', "
                 f"got {self.kind!r}"
@@ -149,11 +157,7 @@ class PlatformSpec:
 
     def build(self):
         """A freshly built, unstarted network for this spec."""
-        if self.kind == "dumbbell":
-            return build_dumbbell(self.to_config())
-        if self.kind == "parking_lot":
-            return build_parking_lot(self.to_config())
-        return build_testbed(self.to_config())
+        return _BUILDERS[self.kind](self.to_config())
 
     def describe(self) -> dict:
         """A JSON-serializable identity (feeds the cache key)."""

@@ -11,7 +11,8 @@ the equivalent substrate built from scratch:
 * :mod:`repro.sim.tcp` -- general-AIMD TCP (Tahoe/Reno/NewReno/SACK);
 * :mod:`repro.sim.attacker` -- pulse-train and CBR sources;
 * :mod:`repro.sim.workload` -- finite-transfer ("mice") workloads;
-* :mod:`repro.sim.topology` -- the Fig. 5 dumbbell builder;
+* :mod:`repro.sim.topology` -- the scenario :class:`Network` and the
+  dumbbell (Fig. 5) and parking-lot builders;
 * :mod:`repro.sim.checkpoint` -- warm-start snapshot/fork of a built
   network (simulate a shared warm-up once, fork each sweep cell);
 * :mod:`repro.sim.trace` -- rate / drop / queue instrumentation;
@@ -37,6 +38,7 @@ from repro.sim.tcp import AIMDParams, TCPConfig, TCPReceiver, TCPSender, TCPVari
 from repro.sim.topology import (
     DumbbellConfig,
     DumbbellNetwork,
+    Network,
     build_dumbbell,
     make_droptail_queue,
     make_red_queue,
@@ -56,6 +58,7 @@ __all__ = [
     "Event",
     "FlowRecord",
     "Link",
+    "Network",
     "NetworkSnapshot",
     "Node",
     "Packet",

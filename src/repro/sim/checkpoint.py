@@ -58,9 +58,8 @@ class NetworkSnapshot:
 
     Args:
         net: the network to freeze (any object owning a ``sim``
-            attribute -- :class:`~repro.sim.topology.DumbbellNetwork`,
-            :class:`~repro.testbed.dummynet.TestbedNetwork`, or a test
-            scenario).  Must not be inside :meth:`Simulator.run`.
+            attribute -- a :class:`~repro.sim.topology.Network` from any
+            scenario builder, or a test scenario).  Must not be inside :meth:`Simulator.run`.
         extras: companion objects to freeze *in the same deep copy* so
             aliasing with the network is preserved (e.g. a
             :class:`~repro.detection.conformance.ConformanceDetector`

@@ -179,36 +179,6 @@ class REDQueue(QueueDiscipline):
         self.avg = 0.0
         self.count = -1  # packets since the last early drop; -1 = "fresh"
 
-    # ------------------------------------------------------------------
-    def _measured_queue(self, state: QueueState) -> float:
-        return state.queue_bytes if self.byte_mode else float(state.queue_pkts)
-
-    def _update_average(self, state: QueueState) -> None:
-        q = self._measured_queue(state)
-        if q <= 0 and state.idle_since is not None:
-            # Queue has been idle; pretend m small packets went by.  As in
-            # ns-2's estimator the decay only accounts for the idle
-            # interval -- the arrival's own queue sample still folds into
-            # the EWMA through the normal w_q update below.
-            service = self._mean_service_time or 0.001
-            m = max(0.0, (state.now - state.idle_since) / service)
-            self.avg *= (1.0 - self.w_q) ** m
-        self.avg = (1.0 - self.w_q) * self.avg + self.w_q * q
-
-    def _drop_probability(self, pkt_bytes: float) -> float:
-        """Base drop probability p_b from the current average queue."""
-        if self.avg < self.min_th:
-            return 0.0
-        if self.avg < self.max_th:
-            p_b = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-        elif self.gentle and self.avg < 2.0 * self.max_th:
-            p_b = self.max_p + (1.0 - self.max_p) * (self.avg - self.max_th) / self.max_th
-        else:
-            return 1.0
-        if self.byte_mode:
-            p_b *= pkt_bytes / self.mean_pkt_bytes
-        return min(p_b, 1.0)
-
     def metrics_snapshot(self) -> dict:
         snap = super().metrics_snapshot()
         snap["red_avg_queue"] = self.avg
@@ -232,53 +202,65 @@ class REDQueue(QueueDiscipline):
                      idle_since: Optional[float]) -> bool:
         """RED admission on raw queue state, no :class:`QueueState` needed.
 
-        The link's per-arrival hot path calls this directly.  The body
-        fuses :meth:`_update_average`, :meth:`_drop_probability`, and
-        :meth:`_admit_updated` -- those remain the reference
-        implementation (CHOKe's match-and-drop path composes them) and
-        this method must stay arithmetically in lockstep with them:
-        same operations, same order, same single ``rng.random()`` draw.
+        The link's per-arrival hot path calls this directly: the EWMA
+        update and the decision on the updated average, back to back.
         """
-        # --- EWMA update (= _update_average) ---------------------------
+        return self._decide(
+            pkt_bytes, queue_bytes,
+            self._average(queue_bytes, queue_pkts, now, idle_since),
+        )
+
+    def _average(self, queue_bytes: float, queue_pkts: int, now: float,
+                 idle_since: Optional[float]) -> float:
+        """Fold the arrival's queue sample into the EWMA; return it."""
         q = queue_bytes if self.byte_mode else float(queue_pkts)
         w_q = self.w_q
         avg = self.avg
         if q <= 0 and idle_since is not None:
+            # Queue has been idle; pretend m small packets went by.  As in
+            # ns-2's estimator the decay only accounts for the idle
+            # interval -- the arrival's own queue sample still folds into
+            # the EWMA through the normal w_q update below.
             service = self._mean_service_time or 0.001
             m = max(0.0, (now - idle_since) / service)
             avg *= (1.0 - w_q) ** m
         avg = (1.0 - w_q) * avg + w_q * q
         self.avg = avg
+        return avg
 
-        # --- forced (overflow) drop (= _fits check) --------------------
+    def _decide(self, pkt_bytes: float, queue_bytes: float,
+                avg: float) -> bool:
+        """Accept or drop on the updated average *avg*.
+
+        At most one ``rng.random()`` draw, and only on the ramp.
+        """
+        # Forced (overflow) drop; RED resets its count as ns-2 does.
         if queue_bytes + pkt_bytes > self.capacity_bytes:
             self.count = 0
             self.drops += 1
             return False
 
-        # --- early-drop probability (= _drop_probability) --------------
+        # Base drop probability p_b from the average.
         min_th = self.min_th
         max_th = self.max_th
         if avg < min_th:
             self.count = -1
             self.accepts += 1
             return True
-        on_ramp = True
         if avg < max_th:
             p_b = self.max_p * (avg - min_th) / (max_th - min_th)
         elif self.gentle and avg < 2.0 * max_th:
             p_b = self.max_p + (1.0 - self.max_p) * (avg - max_th) / max_th
         else:
             # Past the (gentle) ramp: certain drop, no byte scaling.
-            p_b = 1.0
-            on_ramp = False
-        if on_ramp:
-            if self.byte_mode:
-                p_b *= pkt_bytes / self.mean_pkt_bytes
-            if p_b > 1.0:
-                p_b = 1.0
+            self.count = 0
+            self.drops += 1
+            self.early_drops += 1
+            return False
+        if self.byte_mode:
+            p_b *= pkt_bytes / self.mean_pkt_bytes
 
-        # --- inter-drop count correction (= _admit_updated) ------------
+        # Inter-drop count correction p_a = p_b / (1 - count * p_b).
         if p_b >= 1.0:
             self.count = 0
             self.drops += 1
@@ -288,35 +270,6 @@ class REDQueue(QueueDiscipline):
             count = self.count + 1
             self.count = count
             denominator = 1.0 - count * p_b
-            p_a = 1.0 if denominator <= 0 else min(1.0, p_b / denominator)
-            if self.rng.random() < p_a:
-                self.count = 0
-                self.drops += 1
-                self.early_drops += 1
-                return False
-        else:
-            self.count = -1
-
-        self.accepts += 1
-        return True
-
-    def _admit_updated(self, pkt_bytes: float, state: QueueState) -> bool:
-        """The RED decision after the average has been updated."""
-        if not self._fits(pkt_bytes, state):
-            # Forced (overflow) drop; RED resets its count as ns-2 does.
-            self.count = 0
-            self.drops += 1
-            return False
-
-        p_b = self._drop_probability(pkt_bytes)
-        if p_b >= 1.0:
-            self.count = 0
-            self.drops += 1
-            self.early_drops += 1
-            return False
-        if p_b > 0.0:
-            self.count += 1
-            denominator = 1.0 - self.count * p_b
             p_a = 1.0 if denominator <= 0 else min(1.0, p_b / denominator)
             if self.rng.random() < p_a:
                 self.count = 0
@@ -371,8 +324,10 @@ class CHOKeQueue(REDQueue):
         return super().state_digest() + (self.match_drops, self.evictions)
 
     def admit_with_link(self, packet, state: QueueState, link) -> bool:
-        self._update_average(state)
-        if self.avg > self.min_th:
+        # RED's two steps with the match-and-drop test between them.
+        avg = self._average(state.queue_bytes, state.queue_pkts, state.now,
+                            state.idle_since)
+        if avg > self.min_th:
             entry = link.sample_buffered(self.rng)
             if entry is not None and entry.flow_id == packet.flow_id:
                 link.evict(entry)
@@ -380,4 +335,4 @@ class CHOKeQueue(REDQueue):
                 self.match_drops += 1
                 self.drops += 1
                 return False
-        return self._admit_updated(packet.size_bytes, state)
+        return self._decide(packet.size_bytes, state.queue_bytes, avg)

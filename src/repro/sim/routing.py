@@ -98,16 +98,17 @@ class GraphTopology:
 
     Thin builder over :class:`~repro.sim.node.Node` /
     :class:`~repro.sim.link.Link`: it owns node-id assignment, records
-    the wiring, and compiles shortest-path forwarding state.  Scenario
-    classes (the dumbbell, the parking lot) compose one of these rather
-    than wiring nodes by hand.
+    the wiring, and compiles shortest-path forwarding state.  Every
+    scenario builder (dumbbell, parking lot, test-bed) wires one of
+    these rather than nodes by hand.
     """
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.nodes: Dict[int, Node] = {}
         self.links: List[Link] = []
-        self._next_node_id = 0
+        #: id the next :meth:`add_node` assigns by default.
+        self.next_node_id = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -116,12 +117,12 @@ class GraphTopology:
                  node_id: Optional[int] = None) -> Node:
         """Create a node (sequential ids by default) and register it."""
         if node_id is None:
-            node_id = self._next_node_id
+            node_id = self.next_node_id
         if node_id in self.nodes:
             raise ConfigurationError(f"node id {node_id} already exists")
         node = Node(self.sim, node_id, name)
         self.nodes[node_id] = node
-        self._next_node_id = max(self._next_node_id, node_id + 1)
+        self.next_node_id = max(self.next_node_id, node_id + 1)
         return node
 
     def add_link(

@@ -16,7 +16,7 @@ Host parameters follow Section 4.2: TCP NewReno with delayed ACKs
 (d = 2) and Linux's 200 ms minimum RTO.
 """
 
-from repro.testbed.dummynet import DummynetPipe, TestbedConfig, TestbedNetwork, build_testbed
+from repro.testbed.dummynet import DummynetPipe, TestbedConfig, build_testbed
 from repro.testbed.iperf import IperfClient, IperfReport
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "IperfClient",
     "IperfReport",
     "TestbedConfig",
-    "TestbedNetwork",
     "build_testbed",
 ]

@@ -98,8 +98,9 @@ class TestNetworkTelemetry:
             net.start_flows()
             net.run(until=2.0)
         snap = registry.snapshot()
-        assert snap["link.pipe.accepted_packets"] == net.pipe_link.packets_sent
+        assert snap["link.pipe.accepted_packets"] == net.bottleneck.packets_sent
         assert snap["tcp.flows"] == 2.0
+        assert snap["node.undeliverable_packets"] == 0.0
 
     def test_nothing_published_when_disabled(self):
         registry = metrics.MetricsRegistry()

@@ -54,6 +54,42 @@ def make_red(**overrides):
     return REDQueue(**params)
 
 
+class FixedCoin:
+    """An ``rng`` whose every coin flip lands on *value*."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def admission_drop_probability(avg, pkt_bytes, **overrides):
+    """The early-drop probability RED applies at average *avg*, read
+    through admission alone.
+
+    A fresh queue (no early drop yet, so ``p_a == p_b``) whose queue
+    sample equals *avg* keeps its average there; it drops an arrival
+    iff the coin flip lands below the probability, so bisecting on the
+    coin recovers it.
+    """
+    def drops(coin):
+        q = make_red(rng=FixedCoin(coin), **overrides)
+        q.avg = avg
+        # Either mode measures *avg* (bytes, or packets).
+        sample = state(queue_bytes=avg, queue_pkts=int(avg))
+        return not q.admit(pkt_bytes, sample)
+
+    low, high = 0.0, 1.0
+    for _ in range(50):
+        mid = (low + high) / 2.0
+        if drops(mid):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 class TestREDValidation:
     def test_thresholds_ordered(self):
         with pytest.raises(ValidationError):
@@ -153,25 +189,20 @@ class TestREDDropping:
         assert q.drops == 1
 
     def test_drop_probability_increases_with_average(self):
-        q = make_red()
-        q.avg = 30.0
-        p_low = q._drop_probability(1500)
-        q.avg = 70.0
-        p_high = q._drop_probability(1500)
+        p_low = admission_drop_probability(30.0, 1500)
+        p_high = admission_drop_probability(70.0, 1500)
         assert 0 < p_low < p_high <= 0.1
 
     def test_gentle_region_probability(self):
-        q = make_red()
-        q.avg = 120.0  # between max_th (80) and 2*max_th (160)
-        p = q._drop_probability(1500)
+        # Between max_th (80) and 2*max_th (160).
+        p = admission_drop_probability(120.0, 1500)
         assert 0.1 < p < 1.0
 
     def test_byte_mode_scales_with_packet_size(self):
-        q = make_red(byte_mode=True, min_th=20_000.0, max_th=80_000.0,
-                     mean_pkt_bytes=1000.0)
-        q.avg = 50_000.0
-        small = q._drop_probability(500)
-        large = q._drop_probability(2000)
+        params = dict(byte_mode=True, min_th=20_000.0, max_th=80_000.0,
+                      mean_pkt_bytes=1000.0)
+        small = admission_drop_probability(50_000.0, 500, **params)
+        large = admission_drop_probability(50_000.0, 2000, **params)
         assert large == pytest.approx(4 * small)
 
     def test_deterministic_with_seeded_rng(self):

@@ -316,7 +316,8 @@ GOLDEN = {
         run_parking_lot, 35366, 881840.0,
         "a99f7eb4ee23c75415444362492ca7019fb556ccf9de4384dfeb49f8811379ae",
     ),
-    # Hand-written add_route() calls instead of compiled routes.
+    # Compiled routes: hosts forward on their default route, the
+    # dummynet box and the egress router on their tables.
     "testbed": (
         run_testbed, 573, 140160.0,
         "38e8b32ab3b32e8e492b377819ae50b085970ae686831bb75b3d52253c020d7a",
@@ -452,16 +453,40 @@ class TestParkingLotConfig:
             attack_segments=(1, 2),
         ))
         topo = net.topo
+        segments = [net.labels[f"segment{j}"] for j in range(3)]
         # A long flow's forward path crosses every chain segment.
         path = topo.path(
-            net.long_sender_nodes[0].node_id,
-            net.long_receiver_nodes[0].node_id,
+            net.senders[0].node.node_id, net.receivers[0].node.node_id,
         )
-        chain = [link for link in path if link in net.segment_links]
+        chain = [link for link in path if link in segments]
         assert len(chain) == 3
         # The attack path crosses exactly the attacked span.
         attack_path = topo.path(
             net.attacker_node.node_id, net.attack_sink_node.node_id,
         )
-        attacked = [l for l in attack_path if l in net.segment_links]
-        assert attacked == [net.segment_links[1], net.segment_links[2]]
+        attacked = [l for l in attack_path if l in segments]
+        assert attacked == [segments[1], segments[2]]
+
+
+class TestTestbedRoutes:
+    def test_compiled_paths_match_fig_11_wiring(self):
+        """Every user's data, the victim's ACKs and the attack cross
+        the pipe, as Fig. 11 wires them."""
+        net = build_testbed(TestbedConfig(n_flows=3))
+        topo = net.topo
+        by_name = {node.name: node for node in topo.nodes.values()}
+        victim = by_name["victim"].node_id
+
+        def names(path):
+            return [link.name for link in path]
+
+        for i in range(3):
+            user = by_name[f"user{i}"].node_id
+            assert names(topo.path(user, victim)) == [
+                f"user{i}->dummynet", "pipe", "egress->victim"]
+            assert names(topo.path(victim, user)) == [
+                "victim->egress", "pipe-reverse", f"dummynet->user{i}"]
+        assert names(topo.path(by_name["attacker"].node_id, victim)) == [
+            "attacker->dummynet", "pipe", "egress->victim"]
+        assert topo.path(user, victim)[1] is net.bottleneck
+        assert topo.path(victim, user)[1] is net.reverse_bottleneck

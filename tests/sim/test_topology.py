@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.attack import PulseTrain
+from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue, REDQueue
 from repro.sim.topology import (
     DumbbellConfig,
@@ -54,20 +55,20 @@ class TestConstruction:
         dt_net = build_dumbbell(
             DumbbellConfig(queue_factory=make_droptail_queue)
         )
-        assert isinstance(red_net.bottleneck_queue, REDQueue)
-        assert isinstance(dt_net.bottleneck_queue, DropTailQueue)
+        assert isinstance(red_net.bottleneck.queue, REDQueue)
+        assert isinstance(dt_net.bottleneck.queue, DropTailQueue)
 
     def test_red_thresholds_from_buffer(self):
         net = build_dumbbell(DumbbellConfig(buffer_bytes=100 * 1500.0))
-        queue = net.bottleneck_queue
+        queue = net.bottleneck.queue
         assert queue.min_th == pytest.approx(20.0)   # 0.2 * 100 pkts
         assert queue.max_th == pytest.approx(80.0)
         assert queue.gentle
 
     def test_node_count(self):
         net = build_dumbbell(DumbbellConfig(n_flows=5))
-        assert len(net.sender_nodes) == 5
-        assert len(net.receiver_nodes) == 5
+        assert [s.node.node_id for s in net.senders] == [2, 3, 4, 5, 6]
+        assert [r.node.node_id for r in net.receivers] == [7, 8, 9, 10, 11]
         assert net.attacker_node.node_id == 12
         assert net.attack_sink_node.node_id == 13
 
@@ -106,7 +107,7 @@ class TestAttackPath:
         source.start()
         net.run(until=1.0)
         assert net.attack_sink_node.undeliverable == 0
-        assert net.router_r.undeliverable == 0
+        assert net.bottleneck.dst.undeliverable == 0  # router R
 
     def test_multiple_attacks_get_distinct_flows(self):
         net = build_dumbbell(DumbbellConfig(n_flows=2))
@@ -140,14 +141,30 @@ class TestRTTRealization:
         net = build_dumbbell(config)
         rtts = config.flow_rtts()
         for i in range(3):
-            forward = (
-                net.sender_links[i].delay
-                + net.bottleneck.delay
-                + net.receiver_links[i].delay
-            )
-            reverse = (
-                net.receiver_return_links[i].delay
-                + net.reverse_bottleneck.delay
-                + net.sender_return_links[i].delay
-            )
-            assert forward + reverse == pytest.approx(rtts[i])
+            sender = net.senders[i].node.node_id
+            receiver = net.receivers[i].node.node_id
+            forward = net.topo.path(sender, receiver)
+            reverse = net.topo.path(receiver, sender)
+            assert forward[1] is net.bottleneck
+            assert reverse[1] is net.reverse_bottleneck
+            delay = sum(link.delay for link in forward + reverse)
+            assert delay == pytest.approx(rtts[i])
+
+
+class TestStateDigest:
+    def test_digest_covers_links_attached_mid_scenario(self):
+        """Two dumbbells that differ only in traffic on an
+        add_host_pair link must not share a digest."""
+        def run(size_bytes):
+            net = build_dumbbell(DumbbellConfig(n_flows=2, seed=4))
+            host, _ = net.add_host_pair()
+            router_s = net.bottleneck.src
+            router_s.register_agent(500, lambda packet: None)
+            # One packet over the host's access link only: same events,
+            # same uids, different bytes on that link.
+            host.send(Packet(PacketKind.CBR, 500, host.node_id,
+                             router_s.node_id, size_bytes))
+            net.run(until=1.0)
+            return net.state_digest()
+
+        assert run(500.0) != run(1000.0)

@@ -21,8 +21,9 @@ class TestDummynetPipe:
         assert pipe.delay == pytest.approx(0.15)
 
     def test_red_queue_section_4_2_parameters(self):
-        pipe = DummynetPipe.rule_of_thumb(mbps(10), rtt=0.3)
-        queue = pipe.red_queue()
+        net = build_testbed(TestbedConfig(
+            pipe=DummynetPipe.rule_of_thumb(mbps(10), rtt=0.3)))
+        queue = net.bottleneck.queue
         assert isinstance(queue, REDQueue)
         assert queue.min_th == pytest.approx(0.2 * 375_000)
         assert queue.max_th == pytest.approx(0.8 * 375_000)
@@ -33,7 +34,8 @@ class TestDummynetPipe:
 
     def test_droptail_same_capacity(self):
         pipe = DummynetPipe.rule_of_thumb(mbps(10), rtt=0.3)
-        queue = pipe.droptail_queue()
+        net = build_testbed(TestbedConfig(pipe=pipe, use_red=False))
+        queue = net.bottleneck.queue
         assert isinstance(queue, DropTailQueue)
         assert queue.capacity_bytes == pipe.queue_bytes
 
@@ -69,8 +71,8 @@ class TestTestbedNetwork:
     def test_red_vs_droptail_selectable(self):
         red = build_testbed(TestbedConfig(use_red=True))
         droptail = build_testbed(TestbedConfig(use_red=False))
-        assert isinstance(red.pipe_queue, REDQueue)
-        assert isinstance(droptail.pipe_queue, DropTailQueue)
+        assert isinstance(red.bottleneck.queue, REDQueue)
+        assert isinstance(droptail.bottleneck.queue, DropTailQueue)
 
     def test_flows_saturate_pipe_in_steady_state(self):
         net = build_testbed(TestbedConfig(n_flows=10))
@@ -105,11 +107,12 @@ class TestTestbedNetwork:
     def test_attack_reaches_victim_side(self):
         net = build_testbed(TestbedConfig(n_flows=2))
         seen = []
-        net.pipe_link.monitors.append(
+        net.bottleneck.monitors.append(
             lambda pkt, now, ok: seen.append(pkt) if pkt.is_attack else None
         )
         train = PulseTrain.uniform(ms(50), mbps(20), 0.0, n_pulses=1)
         net.add_attack(train).start()
         net.run(until=1.0)
         assert seen
-        assert net.victim_node.undeliverable == 0
+        assert net.attack_sink_node.name == "victim"
+        assert net.attack_sink_node.undeliverable == 0
