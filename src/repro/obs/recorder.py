@@ -84,8 +84,8 @@ RECOVERY_KINDS = {"fr": 0.0, "to": 1.0}
 #: -- measured at roughly a third of total capture cost.  Sized so a
 #: typical cell's whole capture (tens of thousands of surviving rows)
 #: accumulates without a single mid-run collection; the deferred pass
-#: runs after harvest restores the saved threshold.  GC timing never
-#: changes simulation results.
+#: runs once ``detach`` (which ``harvest`` calls) restores the saved
+#: threshold.  GC timing never changes simulation results.
 _GC_GEN0_THRESHOLD = 1_000_000
 
 
@@ -241,7 +241,7 @@ class FlightRecorder:
         and registers an engine post-run hook.  No event is scheduled,
         so the simulation's state digests are unchanged.  Also raises
         the gen-0 GC threshold for the capture's duration (restored by
-        :meth:`harvest`; see ``_GC_GEN0_THRESHOLD``).
+        :meth:`detach`; see ``_GC_GEN0_THRESHOLD``).
         """
         if self._attached:
             raise RuntimeError("FlightRecorder.attach() may run only once")
@@ -276,6 +276,17 @@ class FlightRecorder:
         gc.set_threshold(_GC_GEN0_THRESHOLD,
                          *self._saved_gc_threshold[1:])
 
+    def detach(self) -> None:
+        """Restore the GC threshold :meth:`attach` raised.
+
+        Idempotent.  :meth:`harvest` calls it; so must any path that
+        abandons a capture before harvest (a run that raised), or the
+        raised threshold outlives the cell.
+        """
+        if self._saved_gc_threshold is not None:
+            gc.set_threshold(*self._saved_gc_threshold)
+            self._saved_gc_threshold = None
+
     def tap_queue_sampler(self, sampler, name: str) -> None:
         """Harvest a scenario-owned :class:`~repro.sim.trace.QueueSampler`.
 
@@ -306,9 +317,7 @@ class FlightRecorder:
         from repro.sim.packet import PacketKind
         from repro.sim.trace import RateMonitor
 
-        if self._saved_gc_threshold is not None:
-            gc.set_threshold(*self._saved_gc_threshold)
-            self._saved_gc_threshold = None
+        self.detach()
 
         attack_kind = PacketKind.ATTACK
         series: Dict[str, Series] = {}

@@ -429,31 +429,37 @@ def _measure_warmed(net, detector, cell: Cell, recorder=None) -> CellResult:
     taps (link monitors, sender telemetry pointers, an engine post-run
     hook), so the measured result is bit-identical with or without it.
     Attachment happens here, after any warm-start fork, because taps
-    must never ride through a snapshot deep copy.
+    must never ride through a snapshot deep copy.  The recorder is
+    detached on the way out, also when the run raises, so its raised
+    GC threshold never outlives the cell.
     """
     before = net.aggregate_goodput_bytes()
     if recorder is not None:
         recorder.attach(net, horizon=cell.warmup + cell.window)
+    try:
+        attack_flow_ids: List[int] = []
+        if cell.deployment is not None:
+            sources = net.launch_distributed(
+                cell.deployment, start_time=cell.warmup,
+            )
+            attack_flow_ids = [source.flow_id for source in sources]
+        elif cell.train is not None:
+            source = net.add_attack(cell.train, start_time=cell.warmup)
+            source.start()
+            attack_flow_ids = [source.flow_id]
 
-    attack_flow_ids: List[int] = []
-    if cell.deployment is not None:
-        sources = net.launch_distributed(
-            cell.deployment, start_time=cell.warmup,
-        )
-        attack_flow_ids = [source.flow_id for source in sources]
-    elif cell.train is not None:
-        source = net.add_attack(cell.train, start_time=cell.warmup)
-        source.start()
-        attack_flow_ids = [source.flow_id]
+        monitor = None
+        if cell.early_exit is not None:
+            monitor = GoodputConvergenceMonitor(
+                net.sim, net.aggregate_goodput_bytes, cell.early_exit,
+            )
+            monitor.arm(start=cell.warmup,
+                        horizon=cell.warmup + cell.window)
 
-    monitor = None
-    if cell.early_exit is not None:
-        monitor = GoodputConvergenceMonitor(
-            net.sim, net.aggregate_goodput_bytes, cell.early_exit,
-        )
-        monitor.arm(start=cell.warmup, horizon=cell.warmup + cell.window)
-
-    net.run(until=cell.warmup + cell.window)
+        net.run(until=cell.warmup + cell.window)
+    finally:
+        if recorder is not None:
+            recorder.detach()
     goodput = net.aggregate_goodput_bytes() - before
 
     flagged = None

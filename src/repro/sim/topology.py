@@ -36,6 +36,8 @@ Dumbbell node id layout (M flows)::
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import random
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -128,6 +130,58 @@ QUEUE_FACTORIES = {
     "droptail": make_droptail_queue,
     "choke": make_choke_queue,
 }
+
+
+class gc_paused:
+    """Keep CPython's cyclic collector out of a scenario build or digest.
+
+    A context manager, also usable as ``@gc_paused()``.  A build
+    allocates one large object graph that holds no garbage: left on,
+    the collector rescans the growing graph in every young and several
+    full collections.  Inside the block it is paused.  On exit, by
+    return or exception:
+
+    * if the block allocated at least a quarter of all tracked objects
+      (CPython's own full-collection ratio), every object is promoted
+      to the oldest generation (``freeze`` then ``unfreeze``), so the
+      young collections of the run that follows do not rescan the new
+      graph.  Smaller blocks leave the generations alone, so the full
+      collections of later runs still come due;
+    * the collector is re-enabled, and nothing is allocated before
+      control returns: a digest its caller drops is freed by reference
+      counting before any collection can start.
+
+    A no-op if the collector is already off (which makes nesting one),
+    and it never promotes while the caller has frozen objects.
+    Collection timing never changes simulation results.
+    """
+
+    def __enter__(self) -> None:
+        self._young = gc.get_count()[0] if gc.isenabled() else None
+        gc.disable()
+
+    def __exit__(self, *_exc) -> None:
+        if self._young is None:
+            return
+        # With the collector off, the gen-0 count grows by one per
+        # net tracked allocation.  A block smaller than one gen-1 cycle
+        # of allocations reaches the oldest generation within that
+        # cycle anyway, so only a larger one pays to count the heap
+        # (a list of every tracked object).
+        allocated = gc.get_count()[0] - self._young
+        young0, young1, _ = gc.get_threshold()
+        if (allocated > young0 * young1 and not gc.get_freeze_count()
+                and 4 * allocated >= len(gc.get_objects())):
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
+
+    def __call__(self, func):
+        @functools.wraps(func)
+        def paused(*args, **kwargs):
+            with gc_paused():
+                return func(*args, **kwargs)
+        return paused
 
 
 class Network:
@@ -262,6 +316,7 @@ class Network:
     # ------------------------------------------------------------------
     # measurement helpers
     # ------------------------------------------------------------------
+    @gc_paused()
     def state_digest(self) -> tuple:
         """Fingerprint of the whole scenario's dynamic state.
 
@@ -453,11 +508,13 @@ class DumbbellNetwork(Network):
             sources.append(source)
         return sources
 
+    @gc_paused()
     def state_digest(self) -> tuple:
         # Attached hosts draw their node ids from the topology's counter.
         return super().state_digest() + (self.topo.next_node_id,)
 
 
+@gc_paused()
 def build_dumbbell(config: Optional[DumbbellConfig] = None) -> DumbbellNetwork:
     """Construct the Fig. 5 dumbbell scenario."""
     cfg = config if config is not None else DumbbellConfig()
@@ -653,6 +710,7 @@ class ParkingLotConfig:
         return long_rtts, cross_rtts
 
 
+@gc_paused()
 def build_parking_lot(config: Optional[ParkingLotConfig] = None) -> Network:
     """Construct a parking-lot / N-bottleneck chain scenario.
 

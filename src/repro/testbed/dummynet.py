@@ -36,7 +36,8 @@ from repro.sim.engine import Simulator
 from repro.sim.queues import DropTailQueue
 from repro.sim.routing import GraphTopology
 from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import QUEUE_FACTORIES, Network, tcp_flows
+from repro.sim.topology import (QUEUE_FACTORIES, Network, gc_paused,
+                                tcp_flows)
 from repro.util.errors import ConfigurationError
 from repro.util.units import mbps, ms
 from repro.util.validate import check_positive
@@ -118,6 +119,7 @@ class TestbedConfig:
         return 2.0 * (self.pipe.delay + 2.0 * self.lan_delay)
 
 
+@gc_paused()
 def build_testbed(config: Optional[TestbedConfig] = None) -> Network:
     """Construct the Fig. 11 test-bed scenario.
 

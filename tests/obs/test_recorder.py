@@ -1,5 +1,7 @@
 """The in-sim flight recorder: passivity, bounded capture, harvest."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,22 @@ class TestPassivity:
         net, _ = attacked_net(recorder)
         with pytest.raises(RuntimeError, match="only once"):
             recorder.attach(net, horizon=HORIZON)
+        recorder.detach()
+
+    def test_detach_restores_gc_threshold_idempotently(self):
+        threshold = gc.get_threshold()
+        recorder = FlightRecorder()
+        attacked_net(recorder)
+        assert gc.get_threshold() != threshold
+        recorder.detach()
+        assert gc.get_threshold() == threshold
+        gc.set_threshold(threshold[0] + 1, *threshold[1:])
+        try:
+            recorder.detach()  # a second detach restores nothing
+            assert gc.get_threshold()[0] == threshold[0] + 1
+        finally:
+            gc.set_threshold(*threshold)
+        assert any(s.n_rows for s in recorder.harvest())
 
     def test_harvest_sorted_by_name(self):
         recorder = FlightRecorder()

@@ -1,6 +1,7 @@
 """Cell / PlatformSpec / DeploymentSpec specs and the pure executor."""
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -9,7 +10,8 @@ from repro.core.attack import PulseTrain
 from repro.core.distributed import split_interleaved
 from repro.runner import Cell, DeploymentSpec, PlatformSpec, execute_cell
 from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import DumbbellConfig
+from repro.obs.recorder import FlightRecorder
+from repro.sim.topology import DumbbellConfig, Network
 from repro.testbed.dummynet import TestbedConfig
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
@@ -159,6 +161,29 @@ class TestExecuteCell:
         second = execute_cell(cell)
         assert first.goodput_bytes == second.goodput_bytes
         assert first.flagged_sources is None
+
+    def test_failed_recorded_cell_restores_gc_threshold(self, monkeypatch):
+        # The recorder raises the gen-0 threshold for its capture; a
+        # measurement that raises must not leave it raised.
+        cell = Cell(
+            platform=PlatformSpec(kind="dumbbell", n_flows=2, seed=11),
+            warmup=1.0, window=2.0, train=small_train(),
+        )
+        warm_up = Network.run
+
+        def run(net, until):
+            if until > cell.warmup:
+                raise RuntimeError("measurement failed")
+            warm_up(net, until)
+
+        monkeypatch.setattr(Network, "run", run)
+        threshold = gc.get_threshold()
+        try:
+            with pytest.raises(RuntimeError, match="measurement failed"):
+                execute_cell(cell, recorder=FlightRecorder())
+            assert gc.get_threshold() == threshold
+        finally:
+            gc.set_threshold(*threshold)
 
     def test_detector_reports_flagged_sources(self):
         train = small_train(4)

@@ -1,4 +1,7 @@
-"""The Fig. 5 dumbbell builder."""
+"""The Fig. 5 dumbbell builder, and the collector pause every builder
+and state digest runs under."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue, REDQueue
 from repro.sim.topology import (
     DumbbellConfig,
+    ParkingLotConfig,
     build_dumbbell,
+    build_parking_lot,
     make_droptail_queue,
     make_red_queue,
 )
+from repro.testbed.dummynet import TestbedConfig, build_testbed
 from repro.util.errors import ConfigurationError
 from repro.util.units import mbps, ms
 
@@ -168,3 +174,110 @@ class TestStateDigest:
             return net.state_digest()
 
         assert run(500.0) != run(1000.0)
+
+
+BUILDERS = {
+    "dumbbell": lambda: build_dumbbell(DumbbellConfig(n_flows=3)),
+    "parking_lot": lambda: build_parking_lot(
+        ParkingLotConfig(long_flows=2, cross_flows=1)),
+    "testbed": lambda: build_testbed(TestbedConfig(n_flows=3)),
+}
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+class TestCollectorPause:
+    """Builders and digests pause the cyclic collector (``gc_paused``).
+
+    These tests assert on collector state, generation membership and
+    collection counts only; timing is the benchmark's business.
+    """
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_builders_leave_collector_state_unchanged(self, kind, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            before = collector_state()
+            BUILDERS[kind]().state_digest()
+            assert collector_state() == before
+        finally:
+            gc.enable()
+
+    def test_failed_build_reenables_collector(self):
+        before = collector_state()
+        with pytest.raises(ConfigurationError, match="RTT"):
+            build_dumbbell(DumbbellConfig(rtt_min=ms(5), rtt_max=ms(100)))
+        assert collector_state() == before
+
+    def test_large_build_and_digest_run_no_collection(self):
+        """A 2,000-flow build is most of the heap: it is promoted to the
+        oldest generation, and neither it nor its digest collects."""
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            net = build_dumbbell(DumbbellConfig(n_flows=2000))
+            net.state_digest()
+            collections = len(started)
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == 0, f"collections of generations {started}"
+        assert any(obj is net for obj in gc.get_objects(2))
+
+    @pytest.mark.parametrize("n_flows", [15, 200])
+    def test_small_build_is_not_promoted(self, n_flows):
+        """A build that is a sliver of the heap promotes nothing, so
+        older young objects stay out of the oldest generation.  15
+        flows allocate less than one gen-1 cycle; 200 flows more, but
+        under a quarter of the heap."""
+        ballast = [[] for _ in range(100_000)]
+        gc.collect()
+        marker = [[] for _ in range(3)]
+        net = build_dumbbell(DumbbellConfig(n_flows=n_flows))
+        oldest = gc.get_objects(2)
+        assert not any(obj is marker for obj in oldest)
+        assert not any(obj is net for obj in oldest)
+        del ballast  # alive through the build: the heap it is measured in
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        """With objects frozen, even a heap-sized build is not promoted."""
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            net = build_dumbbell(DumbbellConfig(n_flows=2000))
+            # Frozen objects can die, but none are added or released.
+            assert 0 < gc.get_freeze_count() <= frozen
+            assert not any(obj is net for obj in gc.get_objects(2))
+        finally:
+            gc.unfreeze()
+
+    def test_interpreter_gc_semantics(self):
+        """The interpreter facts the pause relies on."""
+        gc.collect()
+        gc.disable()
+        try:
+            young = gc.get_count()[0]
+            keep = [[] for _ in range(5000)]
+            # A disabled collector still counts tracked allocations...
+            assert gc.get_count()[0] - young >= len(keep)
+            gc.freeze()
+            gc.unfreeze()
+            # ...and a freeze/unfreeze round trip empties the young
+            # generations into the oldest one.
+            assert gc.get_objects(0) == []
+            assert gc.get_objects(1) == []
+            assert gc.get_freeze_count() == 0
+            assert any(obj is keep for obj in gc.get_objects(2))
+        finally:
+            gc.enable()
