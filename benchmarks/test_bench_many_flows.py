@@ -35,7 +35,10 @@ and then alternates heap/calendar reps, comparing best-of.
 import gc
 import time
 
+import pytest
+
 from benchmarks.conftest import format_reps, run_once
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.topology import (
     FULL_PACKET_BYTES,
@@ -45,6 +48,7 @@ from repro.sim.topology import (
 from repro.sim.workload import ShortFlowWorkload
 from repro.util.errors import SimulationError
 from repro.util.units import mbps, ms
+from tests.backends import PINNED_DEPTH
 
 #: Elephants in the flock; mice arrive on top via the workload.
 N_FLOWS = 10_000
@@ -88,21 +92,23 @@ def _run_scenario(scheduler):
         n_flows=N_FLOWS,
         bottleneck_rate_bps=BOTTLENECK_BPS,
         buffer_bytes=BUFFER_BYTES,
-        scheduler=scheduler,
     )
-    net, build_wall, build_collections = _timed_build(config)
-    mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
-    workload = ShortFlowWorkload(
-        net.sim, mice_src, mice_dst, tcp=config.tcp,
-        mean_size_segments=15.0, mean_interarrival=0.01, seed=11,
-    )
-    net.start_flows()
-    workload.start()
-    started = time.perf_counter()
-    net.run(until=HORIZON)
-    wall = time.perf_counter() - started
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "AUTO_CALENDAR_DEPTH", PINNED_DEPTH[scheduler])
+        net, build_wall, build_collections = _timed_build(config)
+        mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
+        workload = ShortFlowWorkload(
+            net.sim, mice_src, mice_dst, tcp=config.tcp,
+            mean_size_segments=15.0, mean_interarrival=0.01, seed=11,
+        )
+        net.start_flows()
+        workload.start()
+        started = time.perf_counter()
+        net.run(until=HORIZON)
+        wall = time.perf_counter() - started
     workload.finalize()
     sim = net.sim
+    assert sim.scheduler == scheduler
     stats = {
         "wall": wall,
         "events": sim.events_executed,

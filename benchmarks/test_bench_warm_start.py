@@ -1,11 +1,12 @@
 """Bench: warm-start checkpointing vs from-scratch warm-ups.
 
 Times one representative multi-γ attack panel -- the shape every gain
-figure sweeps -- with warm-start scheduling on and off, best of three
+figure sweeps -- through the runner (warm starts) and through
+``execute_cell`` per cell (every warm-up from scratch), best of three
 runs each, and archives the comparison.  The checks encode the
 subsystem's two contracts:
 
-* results are bit-identical with and without warm starts;
+* results are bit-identical to from-scratch execution;
 * sharing the warm-up prefix is at least 1.2x faster at ``jobs=1`` on a
   panel whose warm-up dominates the per-cell simulation (the paper's
   sweeps warm up for 6-10 s and measure 20-50 s windows at full scale;
@@ -17,7 +18,7 @@ import time
 
 from benchmarks.conftest import best_of_reps, format_reps, run_once
 from repro.core.attack import PulseTrain
-from repro.runner import Cell, ExperimentRunner, PlatformSpec
+from repro.runner import Cell, ExperimentRunner, PlatformSpec, execute_cell
 from repro.util.units import mbps, ms
 
 BEST_OF = 3
@@ -41,13 +42,21 @@ def _panel():
     ]
 
 
-def _best_of(warm_start):
-    """Best wall time over BEST_OF fresh-runner executions."""
+def _warm(cells):
+    return ExperimentRunner(jobs=1).measure_many(cells)
+
+
+def _from_scratch(cells):
+    return [execute_cell(cell) for cell in cells]
+
+
+def _best_of(measure):
+    """Best wall time of *measure* over BEST_OF runs of the panel."""
 
     def _run():
-        runner = ExperimentRunner(jobs=1, warm_start=warm_start)
+        cells = _panel()
         started = time.perf_counter()
-        results = runner.measure_many(_panel())
+        results = measure(cells)
         return results, time.perf_counter() - started
 
     (results, _), best_wall, rep_walls = best_of_reps(
@@ -56,8 +65,8 @@ def _best_of(warm_start):
 
 
 def test_warm_start_speedup(benchmark, record_result):
-    cold_results, cold_wall, cold_reps = _best_of(warm_start=False)
-    warm_results, warm_wall, warm_reps = run_once(benchmark, _best_of, True)
+    cold_results, cold_wall, cold_reps = _best_of(_from_scratch)
+    warm_results, warm_wall, warm_reps = run_once(benchmark, _best_of, _warm)
 
     speedup = cold_wall / max(warm_wall, 1e-9)
     cells = len(_panel())

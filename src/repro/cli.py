@@ -16,16 +16,14 @@ the adaptive experiment planner (a fluid-model pre-pass that localizes
 γ* in milliseconds before any packet cell runs, coarse-to-fine γ
 refinement, CI-driven seed allocation, convergence early-exit --
 approximate but several times faster, under distinct cache keys);
-``--no-fluid`` keeps the planner but skips its fluid pre-pass;
 ``-o DIR`` additionally writes each rendering to ``DIR/<name>.txt``.
 
 ``--jobs N`` fans independent measurement cells out over N worker
 processes (one persistent pool per invocation); ``--cache-dir DIR`` /
 ``--no-cache`` control the on-disk result cache (default:
 ``$XDG_CACHE_HOME/repro-pdos``).  Cells sharing an attack-free warm-up
-prefix simulate it once and fork from a frozen snapshot;
-``--no-warm-start`` re-simulates every warm-up instead.  Results are
-bit-identical regardless of job count, cache state, or warm-start mode.
+prefix simulate it once and fork from a frozen snapshot.  Results are
+bit-identical regardless of job count or cache state.
 
 ``--dry-run`` plans instead of executing: each experiment prints the
 cells it would resolve -- executions, cache hits, memo hits -- and the
@@ -63,6 +61,8 @@ recorder are passive: results stay bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import logging
 import os
 import pathlib
@@ -80,140 +80,43 @@ _log = logging.getLogger("repro.cli")
 DEFAULT_STORE = pathlib.Path("runlog.sqlite")
 
 
-def _fig06():  # deferred imports keep `--help` fast
-    from repro.experiments import run_gain_figure
-    return run_gain_figure(6).render()
+#: experiment name -> (function, positional args).  The function's
+#: result renders the experiment; :func:`_render` imports
+#: :mod:`repro.experiments` on first use, so ``--help`` loads no driver.
+_ENTRY_POINTS = {
+    "fig01": ("run_fig01", ()),
+    "fig02": ("run_fig02", ()),
+    "fig03a": ("run_fig03_ns2", ()),
+    "fig03b": ("run_fig03_testbed", ()),
+    "fig04": ("run_fig04", ()),
+    "fig06": ("run_gain_figure", (6,)),
+    "fig07": ("run_gain_figure", (7,)),
+    "fig08": ("run_gain_figure", (8,)),
+    "fig09": ("run_gain_figure", (9,)),
+    "fig10": ("run_fig10", ()),
+    "fig12": ("run_fig12", ()),
+    "ablation-queues": ("run_queue_ablation", ()),
+    "ablation-model": ("run_model_ablation", ()),
+    "ablation-victim": ("run_victim_ablation", ()),
+    "flow-damage": ("run_flow_damage", ()),
+    "distributed": ("run_distributed_attack", ()),
+    "mice-elephants": ("run_mice_elephants", ()),
+    "multi-bottleneck": ("run_multi_bottleneck", ()),
+    "detection": ("run_detection_evasion", ()),
+    "defense-rto": ("run_rto_randomization", ()),
+    "defense-choke": ("run_aqm_hardening", ()),
+    "replication": ("replicate_gain_sweep", ()),
+}
 
 
-def _fig07():
-    from repro.experiments import run_gain_figure
-    return run_gain_figure(7).render()
-
-
-def _fig08():
-    from repro.experiments import run_gain_figure
-    return run_gain_figure(8).render()
-
-
-def _fig09():
-    from repro.experiments import run_gain_figure
-    return run_gain_figure(9).render()
-
-
-def _fig01():
-    from repro.experiments import run_fig01
-    return run_fig01().render()
-
-
-def _fig02():
-    from repro.experiments import run_fig02
-    return run_fig02().render()
-
-
-def _fig03a():
-    from repro.experiments import run_fig03_ns2
-    return run_fig03_ns2().render()
-
-
-def _fig03b():
-    from repro.experiments import run_fig03_testbed
-    return run_fig03_testbed().render()
-
-
-def _fig04():
-    from repro.experiments import run_fig04
-    return run_fig04().render()
-
-
-def _fig10():
-    from repro.experiments import run_fig10
-    return run_fig10().render()
-
-
-def _fig12():
-    from repro.experiments import run_fig12
-    return run_fig12().render()
-
-
-def _ablation_queues():
-    from repro.experiments import run_queue_ablation
-    return run_queue_ablation().render()
-
-
-def _ablation_model():
-    from repro.experiments import run_model_ablation
-    return run_model_ablation().render()
-
-
-def _detection():
-    from repro.experiments import run_detection_evasion
-    return run_detection_evasion().render()
-
-
-def _defense_rto():
-    from repro.experiments import run_rto_randomization
-    return run_rto_randomization().render()
-
-
-def _defense_choke():
-    from repro.experiments import run_aqm_hardening
-    return run_aqm_hardening().render()
-
-
-def _ablation_victim():
-    from repro.experiments import run_victim_ablation
-    return run_victim_ablation().render()
-
-
-def _flow_damage():
-    from repro.experiments import run_flow_damage
-    return run_flow_damage().render()
-
-
-def _distributed():
-    from repro.experiments import run_distributed_attack
-    return run_distributed_attack().render()
-
-
-def _mice_elephants():
-    from repro.experiments import run_mice_elephants
-    return run_mice_elephants().render()
-
-
-def _multi_bottleneck():
-    from repro.experiments import run_multi_bottleneck
-    return run_multi_bottleneck().render()
-
-
-def _replication():
-    from repro.experiments.replication import replicate_gain_sweep
-    return replicate_gain_sweep().render()
+def _render(function: str, args: tuple) -> str:
+    drivers = importlib.import_module("repro.experiments")
+    return getattr(drivers, function)(*args).render()
 
 
 #: experiment name -> zero-argument runner returning rendered text.
 EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig01": _fig01,
-    "fig02": _fig02,
-    "fig03a": _fig03a,
-    "fig03b": _fig03b,
-    "fig04": _fig04,
-    "fig06": _fig06,
-    "fig07": _fig07,
-    "fig08": _fig08,
-    "fig09": _fig09,
-    "fig10": _fig10,
-    "fig12": _fig12,
-    "ablation-queues": _ablation_queues,
-    "ablation-model": _ablation_model,
-    "ablation-victim": _ablation_victim,
-    "flow-damage": _flow_damage,
-    "distributed": _distributed,
-    "mice-elephants": _mice_elephants,
-    "multi-bottleneck": _multi_bottleneck,
-    "detection": _detection,
-    "defense-rto": _defense_rto,
-    "defense-choke": _defense_choke,
-    "replication": _replication,
+    name: functools.partial(_render, *spec) for name, spec in _ENTRY_POINTS.items()
 }
 
 
@@ -251,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
              "early-exit; approximate results under distinct cache keys",
     )
     parser.add_argument(
-        "--no-fluid", action="store_true",
-        help="with --fast, skip the fluid-model pre-pass (sets "
-             "REPRO_NO_FLUID=1): the planner explores the full "
-             "packet-level coarse grid instead",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="run each experiment under cProfile and print wall time, "
              "simulator events/sec, and the hottest functions (results "
@@ -280,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the on-disk result cache for this invocation",
-    )
-    parser.add_argument(
-        "--no-warm-start", action="store_true",
-        help="disable warm-start checkpointing (simulate every cell's "
-             "warm-up from scratch instead of forking a shared snapshot; "
-             "results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=None, metavar="DIR",
@@ -353,7 +244,6 @@ def _make_runner(args):  # deferred import keeps `--help` fast
     else:
         cache_dir = default_cache_dir()
     return ExperimentRunner(jobs=args.jobs, cache_dir=cache_dir,
-                            warm_start=not args.no_warm_start,
                             dry_run=args.dry_run)
 
 
@@ -625,8 +515,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_FULL"] = "1"
     if args.fast:
         os.environ["REPRO_FAST"] = "1"
-    if args.no_fluid:
-        os.environ["REPRO_NO_FLUID"] = "1"
     if args.record and args.store is None:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)

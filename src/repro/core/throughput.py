@@ -24,7 +24,6 @@ import dataclasses
 import math
 from typing import List, Sequence
 
-from repro.core.attack import PulseTrain
 from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp.params import AIMDParams
 from repro.util.errors import ValidationError
@@ -260,14 +259,3 @@ def degradation(gamma: float, c_psi_value: float) -> float:
     check_positive("c_psi_value", c_psi_value)
     return 1.0 - c_psi_value / gamma
 
-
-def degradation_from_train(victims: VictimPopulation, train: PulseTrain,
-                           bottleneck_bps: float) -> float:
-    """Γ for a concrete uniform pulse train (convenience wrapper)."""
-    value = c_psi(
-        victims,
-        extent=train.extent,
-        rate_bps=train.rate_bps,
-        bottleneck_bps=bottleneck_bps,
-    )
-    return degradation(train.gamma(bottleneck_bps), value)

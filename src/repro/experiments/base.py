@@ -33,8 +33,6 @@ from repro.core.throughput import VictimPopulation, c_psi
 from repro.runner import Cell, ExperimentRunner, PlatformSpec, get_default_runner
 from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import QUEUE_FACTORIES, DumbbellConfig
-from repro.testbed.dummynet import TestbedConfig
 from repro.util.env import env_flag
 from repro.util.errors import ValidationError
 from repro.util.validate import check_positive
@@ -111,21 +109,11 @@ class DumbbellPlatform(_SweepPlatform):
 
     def __init__(self, *, n_flows: int = 15, queue: str = "red",
                  seed: int = 1, tcp: Optional[TCPConfig] = None) -> None:
-        if queue not in QUEUE_FACTORIES:
-            raise ValidationError(
-                f"queue must be one of {sorted(QUEUE_FACTORIES)}, "
-                f"got {queue!r}"
-            )
         self.n_flows = n_flows
         self.queue = queue
         self.seed = seed
         self.tcp = tcp if tcp is not None else _dumbbell_tcp_config()
-        self._config = DumbbellConfig(
-            n_flows=n_flows,
-            queue_factory=QUEUE_FACTORIES[queue],
-            tcp=self.tcp,
-            seed=seed,
-        )
+        self._config = self.spec().to_config()
 
     def spec(self) -> PlatformSpec:
         return PlatformSpec(
@@ -159,7 +147,7 @@ class TestbedPlatform(_SweepPlatform):
         self.n_flows = n_flows
         self.use_red = use_red
         self.seed = seed
-        self._config = TestbedConfig(n_flows=n_flows, use_red=use_red, seed=seed)
+        self._config = self.spec().to_config()
 
     def spec(self) -> PlatformSpec:
         return PlatformSpec(

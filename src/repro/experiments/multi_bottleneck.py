@@ -51,7 +51,6 @@ from repro.experiments.base import (
 from repro.runner import PlatformSpec
 from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp import TCPConfig
-from repro.sim.topology import QUEUE_FACTORIES, ParkingLotConfig
 from repro.util.env import env_flag
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
@@ -82,24 +81,13 @@ class ParkingLotPlatform(_SweepPlatform):
     def __init__(self, *, n_flows: int = 8, queue: str = "red",
                  seed: int = 1, tcp: Optional[TCPConfig] = None,
                  **config_fields) -> None:
-        if queue not in QUEUE_FACTORIES:
-            raise ValidationError(
-                f"queue must be one of {sorted(QUEUE_FACTORIES)}, "
-                f"got {queue!r}"
-            )
         self.n_flows = n_flows
         self.queue = queue
         self.seed = seed
         self.tcp = tcp if tcp is not None else _dumbbell_tcp_config()
-        # Validates eagerly (segment counts, attack span, RTT bounds).
-        self._config = ParkingLotConfig(
-            long_flows=n_flows,
-            queue_factory=QUEUE_FACTORIES[queue],
-            tcp=self.tcp,
-            seed=seed,
-            **config_fields,
-        )
         self._extra = tuple(sorted(config_fields.items()))
+        # Validates eagerly (segment counts, attack span, RTT bounds).
+        self._config = self.spec().to_config()
 
     def spec(self) -> PlatformSpec:
         return PlatformSpec(

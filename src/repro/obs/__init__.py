@@ -1,8 +1,7 @@
 """Observability: metrics, the experiment store, and reporting.
 
-* :mod:`repro.obs.metrics` -- the registry (counters, gauges,
-  histograms, timers) and the process-wide enable/disable switch with a
-  no-op disabled path;
+* :mod:`repro.obs.metrics` -- the registry (counters and gauges) and
+  the process-wide enable/disable switch;
 * :mod:`repro.obs.instrument` -- publishers that snapshot component
   counters (links, queues, TCP, runner) into the registry;
 * :mod:`repro.obs.store` -- the sqlite experiment store (queryable
@@ -20,29 +19,19 @@ engine imports the package on its hot path, so the heavier submodules
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    Timer,
     active,
     collecting,
     disable,
     enable,
-    enabled,
-    get_registry,
 )
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "Timer",
     "active",
     "collecting",
     "disable",
     "enable",
-    "enabled",
-    "get_registry",
 ]

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, timers.
+"""The metrics registry: counters and gauges.
 
 Observability is strictly opt-in.  A process-wide *active registry* is
 installed with :func:`enable` (the CLI enables a fresh one per
@@ -20,10 +20,6 @@ or per packet:
   packet;
 * the experiment runner publishes per-batch, not per-cell.
 
-For call sites that want an unconditional instrument handle,
-:func:`get_registry` returns a shared :data:`NULL_REGISTRY` whose
-instruments are no-ops.
-
 Determinism: instruments only record; they never draw randomness or
 schedule events, so enabling metrics cannot change any simulation
 result.
@@ -31,13 +27,11 @@ result.
 
 from __future__ import annotations
 
-from math import inf
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry",
-    "NULL_REGISTRY", "active", "enabled", "enable", "disable",
-    "get_registry", "collecting",
+    "Counter", "Gauge", "MetricsRegistry", "active", "enable", "disable",
+    "collecting",
 ]
 
 
@@ -78,90 +72,7 @@ class Gauge:
         return f"<Gauge {self.name}={self.value}>"
 
 
-class Histogram:
-    """Streaming count/sum/min/max/mean of observed samples.
-
-    Deliberately bucket-free: the store wants compact summaries, and
-    the handful of consumers (cell wall times, cwnd spreads) only need
-    the moments, not quantiles.
-    """
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = inf
-        self.maximum = -inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        if not self.count:
-            return {"count": 0, "sum": 0.0, "min": None, "max": None,
-                    "mean": 0.0}
-        return {"count": self.count, "sum": self.total, "min": self.minimum,
-                "max": self.maximum, "mean": self.mean}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram {self.name} n={self.count} mean={self.mean:.3g}>"
-
-
-class Timer:
-    """A histogram of wall-clock durations, usable as a context manager::
-
-        with registry.timer("runner.batch_seconds").time():
-            ...
-    """
-
-    __slots__ = ("histogram",)
-
-    def __init__(self, name: str) -> None:
-        self.histogram = Histogram(name)
-
-    @property
-    def name(self) -> str:
-        return self.histogram.name
-
-    def observe(self, seconds: float) -> None:
-        self.histogram.observe(seconds)
-
-    def time(self) -> "_TimerContext":
-        return _TimerContext(self)
-
-    def snapshot(self) -> dict:
-        return self.histogram.snapshot()
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_started")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._started = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        from time import perf_counter
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        from time import perf_counter
-        self._timer.observe(perf_counter() - self._started)
-
-
-Instrument = Union[Counter, Gauge, Histogram, Timer]
+Instrument = Union[Counter, Gauge]
 
 
 class MetricsRegistry:
@@ -178,10 +89,10 @@ class MetricsRegistry:
         self._instruments: Dict[str, Instrument] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, name: str, kind: type, factory: Callable[[str], Instrument]):
+    def _get(self, name: str, kind: type):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = self._instruments[name] = factory(name)
+            instrument = self._instruments[name] = kind(name)
         elif type(instrument) is not kind:
             raise TypeError(
                 f"metric {name!r} already registered as "
@@ -190,16 +101,10 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, Counter)
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram, Histogram)
-
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer, Timer)
+        return self._get(name, Gauge)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -209,73 +114,10 @@ class MetricsRegistry:
         return name in self._instruments
 
     def snapshot(self) -> dict:
-        """A JSON-serializable view: name -> number (or histogram dict)."""
-        out: dict = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, (Histogram, Timer)):
-                out[name] = instrument.snapshot()
-            else:
-                out[name] = instrument.value
-        return out
+        """A JSON-serializable view: name -> number."""
+        return {name: self._instruments[name].value
+                for name in sorted(self._instruments)}
 
-
-class _NullInstrument:
-    """Absorbs every instrument method; shared by the null registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def track_max(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullInstrument":
-        return self
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    value = 0.0
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The disabled-path registry: every lookup is the same no-op."""
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    gauge = counter
-    histogram = counter
-    timer = counter
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()
 
 # ----------------------------------------------------------------------
 # the process-wide active registry
@@ -290,16 +132,6 @@ def active() -> Optional[MetricsRegistry]:
     exactly what the uninstrumented code did".
     """
     return _ACTIVE
-
-
-def enabled() -> bool:
-    """True while a registry is installed."""
-    return _ACTIVE is not None
-
-
-def get_registry() -> Union[MetricsRegistry, NullRegistry]:
-    """The active registry, or the shared no-op one when disabled."""
-    return _ACTIVE if _ACTIVE is not None else NULL_REGISTRY
 
 
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:

@@ -70,6 +70,12 @@ _BUILDERS = {
     "testbed": build_testbed,
 }
 
+#: ParkingLotConfig fields a spec's ``extra`` may set: every field but
+#: the ones :meth:`PlatformSpec.to_config` fills from the spec itself.
+_EXTRA_FIELDS = frozenset(
+    field.name for field in dataclasses.fields(ParkingLotConfig)
+) - {"long_flows", "queue_factory", "tcp", "seed"}
+
 
 @dataclasses.dataclass(frozen=True)
 class PlatformSpec:
@@ -115,10 +121,18 @@ class PlatformSpec:
                 f"queue must be one of {sorted(QUEUE_FACTORIES)}, "
                 f"got {self.queue!r}"
             )
-        if self.extra is not None and self.kind != "parking_lot":
-            raise ValidationError(
-                "extra platform fields apply to the parking lot only"
-            )
+        if self.extra is not None:
+            if self.kind != "parking_lot":
+                raise ValidationError(
+                    "extra platform fields apply to the parking lot only"
+                )
+            for name, _value in self.extra:
+                if name not in _EXTRA_FIELDS:
+                    raise ValidationError(
+                        f"extra field {name!r} is not a settable "
+                        f"ParkingLotConfig field; expected one of "
+                        f"{sorted(_EXTRA_FIELDS)}"
+                    )
         if self.n_flows < 1:
             raise ValidationError(f"n_flows must be >= 1, got {self.n_flows}")
 

@@ -173,15 +173,10 @@ def active_policy() -> Optional[PlannerPolicy]:
     """The environment-selected policy: :data:`FAST_POLICY` or ``None``.
 
     Figure drivers call this when no explicit policy is passed, so the
-    planner stays invisible unless the user opted in.
-    ``REPRO_NO_FLUID=1`` keeps the planner but drops its fluid
-    pre-pass (``--no-fluid`` on the CLI).
+    planner stays invisible unless the user opted in.  The
+    planner-only path is ``PlannerPolicy(fluid_prepass=False)``.
     """
-    if not fast_mode():
-        return None
-    if env_flag("REPRO_NO_FLUID"):
-        return dataclasses.replace(FAST_POLICY, fluid_prepass=False)
-    return FAST_POLICY
+    return FAST_POLICY if fast_mode() else None
 
 
 @dataclasses.dataclass(frozen=True)

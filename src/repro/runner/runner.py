@@ -15,9 +15,9 @@ then forks every member from a frozen
 :class:`~repro.sim.checkpoint.NetworkSnapshot` (see
 :func:`~repro.runner.cells.execute_cell_group`).  A gain sweep whose
 cells differ only in the attack train pays for one warm-up instead of
-one per cell.  Results are bit-identical to from-scratch execution, the
-cache keys are unchanged, and ``warm_start=False`` (or
-``REPRO_NO_WARM_START=1``) restores cell-at-a-time execution.
+one per cell.  Results are bit-identical to from-scratch execution
+(:func:`~repro.runner.cells.execute_cell` per cell, which the tests
+use as the reference) and the cache keys are unchanged.
 
 Determinism: cells carry their own seeds and are rebuilt from scratch
 (or forked from a deterministic prefix) per execution, so worker
@@ -58,7 +58,7 @@ from repro.runner.cells import (
     execute_cell_group,
     warmup_key,
 )
-from repro.util.env import env_flag, env_int, env_str
+from repro.util.env import env_int, env_str
 from repro.util.errors import ReproError, ValidationError
 
 __all__ = ["CellTiming", "DryRunPlan", "PlanEntry", "RunnerStats",
@@ -175,36 +175,16 @@ class RunnerStats:
 
     def checkpoint(self) -> Tuple:
         """An opaque marker for :meth:`since` / :meth:`delta_snapshot`."""
-        return (self.executed, self.cache_hits, self.memo_hits,
-                self.executed_seconds, self.warm_starts, self.warmup_sims,
-                self.warmup_seconds_saved, self.planner_rounds,
-                self.planner_cells_saved, self.planner_seeds_saved,
-                self.truncated_cells, self.truncated_sim_seconds,
-                self.fluid_cells)
+        return tuple(getattr(self, name) for name in _COUNTERS)
 
     def delta_snapshot(self, mark: Tuple) -> dict:
         """JSON-ready accounting of the work done since *mark*."""
-        executed = self.executed - mark[0]
-        cached = self.cache_hits - mark[1]
-        memo = self.memo_hits - mark[2]
-        total = executed + cached + memo
-        return {
-            "cells": total,
-            "executed": executed,
-            "cache_hits": cached,
-            "memo_hits": memo,
-            "hit_ratio": ((cached + memo) / total) if total else 0.0,
-            "executed_seconds": self.executed_seconds - mark[3],
-            "warm_starts": self.warm_starts - mark[4],
-            "warmup_sims": self.warmup_sims - mark[5],
-            "warmup_seconds_saved": self.warmup_seconds_saved - mark[6],
-            "planner_rounds": self.planner_rounds - mark[7],
-            "planner_cells_saved": self.planner_cells_saved - mark[8],
-            "planner_seeds_saved": self.planner_seeds_saved - mark[9],
-            "truncated_cells": self.truncated_cells - mark[10],
-            "truncated_sim_seconds": self.truncated_sim_seconds - mark[11],
-            "fluid_cells": self.fluid_cells - mark[12],
-        }
+        delta = {name: getattr(self, name) - base
+                 for name, base in zip(_COUNTERS, mark)}
+        hits = delta["cache_hits"] + delta["memo_hits"]
+        total = delta["executed"] + hits
+        return {"cells": total, "hit_ratio": (hits / total) if total else 0.0,
+                **delta}
 
     def snapshot(self) -> dict:
         """JSON-ready cumulative accounting (feeds the store / metrics)."""
@@ -256,8 +236,15 @@ class RunnerStats:
         return self.since(_ZERO_MARK)
 
 
+#: RunnerStats' additive counters: what a checkpoint marks and a delta
+#: subtracts.  The names are the snapshot keys the store and benchmarks read.
+_COUNTERS = ("executed", "cache_hits", "memo_hits", "executed_seconds",
+             "warm_starts", "warmup_sims", "warmup_seconds_saved",
+             "planner_rounds", "planner_cells_saved", "planner_seeds_saved",
+             "truncated_cells", "truncated_sim_seconds", "fluid_cells")
+
 #: A checkpoint mark taken before any work (the epoch baseline).
-_ZERO_MARK = (0, 0, 0, 0.0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0)
+_ZERO_MARK = (0,) * len(_COUNTERS)
 
 
 def local_worker_id() -> str:
@@ -378,19 +365,14 @@ class ExperimentRunner:
         cache_dir: directory for the persistent result cache, or
             ``None`` to disable disk caching (the in-process memo is
             always on).
-        warm_start: group cache-missing cells by their shared warm-up
-            prefix and fork each group from one frozen snapshot (the
-            default).  ``False`` re-simulates every cell from scratch;
-            results are bit-identical either way.
         dry_run: resolve memo/cache hits normally but *plan* (do not
             execute) everything else; see :class:`DryRunPlan`.
     """
 
     def __init__(self, *, jobs: int = 1, cache_dir=None,
-                 warm_start: bool = True, dry_run: bool = False) -> None:
+                 dry_run: bool = False) -> None:
         self.jobs = check_jobs(jobs)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.warm_start = warm_start
         self.stats = RunnerStats()
         #: attached experiment store (sqlite), or None; see attach_store.
         self.store = None
@@ -486,8 +468,7 @@ class ExperimentRunner:
     ) -> List[List[Tuple[str, Cell]]]:
         """Partition cache-missing cells into warm-up-sharing work units.
 
-        With warm starts off every cell is its own unit.  Otherwise
-        cells group by :func:`warmup_key`; serially each group is one
+        Cells group by :func:`warmup_key`; serially each group is one
         unit (maximal sharing).  In parallel, groups are split into
         contiguous chunks -- each chunk pays one warm-up -- only as far
         as needed to keep all workers busy, so a single large sweep
@@ -495,8 +476,6 @@ class ExperimentRunner:
         Chunking cannot change results, only how often the (bit-
         identical) prefix is re-simulated.
         """
-        if not self.warm_start:
-            return [[(key, cell)] for key, cell in pending.items()]
         groups: Dict[str, List[Tuple[str, Cell]]] = {}
         for key, cell in pending.items():
             groups.setdefault(warmup_key(cell), []).append((key, cell))
@@ -697,15 +676,13 @@ def get_default_runner() -> ExperimentRunner:
     Created lazily from the environment: ``REPRO_JOBS`` sets the worker
     count (default 1; must parse as an integer >= 1),
     ``REPRO_CACHE_DIR`` enables the disk cache at that location
-    (default: memo only, no disk cache), and ``REPRO_NO_WARM_START=1``
-    disables warm-start scheduling.
+    (default: memo only, no disk cache).
     """
     global _default_runner
     if _default_runner is None:
         _default_runner = ExperimentRunner(
             jobs=env_int("REPRO_JOBS", 1, minimum=1),
             cache_dir=env_str("REPRO_CACHE_DIR") or None,
-            warm_start=not env_flag("REPRO_NO_WARM_START"),
         )
     return _default_runner
 

@@ -445,21 +445,6 @@ class CalendarQueue:
                 cur = int(best[0] / width) - 1
                 scanned = -n  # the jump target loads on the next pass
 
-    def peek(self):
-        """The next entry in ``(time, seq)`` order, or None when empty."""
-        front = self.front
-        if not front and not self.advance():
-            return None
-        return front[0]
-
-    def pop_head(self):
-        """Remove and return the next entry in ``(time, seq)`` order."""
-        front = self.front
-        if not front and not self.advance():
-            raise SimulationError("pop from an empty calendar")
-        self.count -= 1
-        return heappop(front)
-
     # -- accounting ----------------------------------------------------
     def __len__(self) -> int:
         return self.count

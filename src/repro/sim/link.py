@@ -230,16 +230,6 @@ class Link:
         self.bytes_dropped += entry.size_bytes
         self.packets_dropped += 1
 
-    def queue_state(self) -> QueueState:
-        """Instantaneous buffer occupancy (expires departed packets first)."""
-        now = self.sim.now
-        self._expire_departed(now)
-        idle_since: Optional[float] = None
-        if not self._departures:
-            # Idle since the last transmission finished (0.0 if never used).
-            idle_since = min(self._busy_until, now)
-        return QueueState(self._queued_bytes, len(self._departures), now, idle_since)
-
     @property
     def queue_bytes(self) -> float:
         """Current buffered bytes (including the packet in transmission)."""

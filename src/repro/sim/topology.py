@@ -406,10 +406,6 @@ class DumbbellConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    #: scheduler backend for the engine ("heap"/"calendar"/"auto").
-    #: ``compare=False``: backends dispatch bit-identically, so the
-    #: choice must not split the runner's result-cache keys.
-    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -518,7 +514,7 @@ class DumbbellNetwork(Network):
 def build_dumbbell(config: Optional[DumbbellConfig] = None) -> DumbbellNetwork:
     """Construct the Fig. 5 dumbbell scenario."""
     cfg = config if config is not None else DumbbellConfig()
-    topo = GraphTopology(Simulator(scheduler=cfg.scheduler))
+    topo = GraphTopology(Simulator())
     rng = random.Random(cfg.seed)
     m = cfg.n_flows
     router_s = topo.add_node("routerS")
@@ -635,7 +631,6 @@ class ParkingLotConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_segments < 1:
@@ -721,7 +716,7 @@ def build_parking_lot(config: Optional[ParkingLotConfig] = None) -> Network:
     attacked segment.
     """
     cfg = config if config is not None else ParkingLotConfig()
-    topo = GraphTopology(Simulator(scheduler=cfg.scheduler))
+    topo = GraphTopology(Simulator())
     rng = random.Random(cfg.seed)
     long_rtts, cross_rtts = cfg.draw_rtts()
     k, l, x = cfg.n_segments, cfg.long_flows, cfg.cross_flows

@@ -103,11 +103,6 @@ class TestbedConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=_linux_tcp_config)
     use_red: bool = True
     seed: int = 7
-    #: scheduler backend for the simulator ("heap", "calendar" or
-    #: "auto").  Excluded from equality/hash: backends dispatch
-    #: bit-identically, so the choice must not split the runner's
-    #: result-cache keys.
-    scheduler: str = dataclasses.field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -127,7 +122,7 @@ def build_testbed(config: Optional[TestbedConfig] = None) -> Network:
     (attack datagrams target a closed port there).
     """
     cfg = config if config is not None else TestbedConfig()
-    topo = GraphTopology(Simulator(scheduler=cfg.scheduler))
+    topo = GraphTopology(Simulator())
     rng = random.Random(cfg.seed)
     m = cfg.n_flows
     dummynet = topo.add_node("dummynet")

@@ -12,6 +12,8 @@ from repro.experiments.base import (
     render_curve_table,
     run_gain_sweep,
 )
+from repro.experiments.multi_bottleneck import ParkingLotPlatform
+from repro.sim.topology import ParkingLotConfig
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
 
@@ -52,6 +54,26 @@ class TestPlatforms:
         DumbbellPlatform(queue="droptail")
         with pytest.raises(ValidationError):
             DumbbellPlatform(queue="codel")
+
+    def test_parking_lot_matches_its_config(self):
+        platform = ParkingLotPlatform(n_flows=5, seed=3, n_segments=2,
+                                      cross_flows=1,
+                                      segment_rates_bps=(mbps(20), mbps(12)))
+        config = ParkingLotConfig(
+            long_flows=5, seed=3, n_segments=2, cross_flows=1,
+            segment_rates_bps=(mbps(20), mbps(12)),
+        )
+        assert platform.bottleneck_bps == config.attacked_rate_bps()
+        victims = platform.victim_population()
+        assert np.array_equal(victims.rtts, config.draw_rtts()[0])
+        assert victims.delayed_ack == 2
+        assert platform.min_rto == 1.0
+
+    def test_parking_lot_rejects_bad_queue_and_spec_fields(self):
+        with pytest.raises(ValidationError, match="queue"):
+            ParkingLotPlatform(queue="codel")
+        with pytest.raises(ValidationError, match="long_flows"):
+            ParkingLotPlatform(n_flows=8, long_flows=4)
 
     def test_measure_goodput_baseline_positive(self):
         platform = DumbbellPlatform(n_flows=3)

@@ -28,27 +28,6 @@ class TestInstruments:
         gauge.track_max(9.0)
         assert gauge.value == 9.0
 
-    def test_histogram_moments(self):
-        histogram = metrics.Histogram("h")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert snap == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
-                        "mean": 2.0}
-
-    def test_empty_histogram_snapshot(self):
-        assert metrics.Histogram("h").snapshot() == {
-            "count": 0, "sum": 0.0, "min": None, "max": None, "mean": 0.0,
-        }
-
-    def test_timer_observes_duration(self):
-        timer = metrics.Timer("t")
-        with timer.time():
-            pass
-        snap = timer.snapshot()
-        assert snap["count"] == 1
-        assert snap["min"] >= 0.0
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -68,37 +47,22 @@ class TestRegistry:
         registry = metrics.MetricsRegistry()
         registry.gauge("b.depth").set(7.0)
         registry.counter("a.events").inc(3)
-        registry.histogram("c.sizes").observe(10.0)
+        registry.counter("c.bytes").inc(10.0)
         snap = registry.snapshot()
-        assert list(snap) == ["a.events", "b.depth", "c.sizes"]
-        assert snap["a.events"] == 3.0
-        assert snap["c.sizes"]["count"] == 1
+        assert list(snap) == ["a.events", "b.depth", "c.bytes"]
+        assert snap == {"a.events": 3.0, "b.depth": 7.0, "c.bytes": 10.0}
         json.dumps(snap)  # must serialize
 
 
 class TestSwitch:
     def test_disabled_by_default(self):
         assert metrics.active() is None
-        assert not metrics.enabled()
-        assert metrics.get_registry() is metrics.NULL_REGISTRY
 
     def test_enable_installs_fresh_registry(self):
         registry = metrics.enable()
         assert metrics.active() is registry
-        assert metrics.get_registry() is registry
         assert metrics.disable() is registry
         assert metrics.active() is None
-
-    def test_null_registry_absorbs_everything(self):
-        null = metrics.NULL_REGISTRY
-        null.counter("x").inc(5)
-        null.gauge("y").set(1.0)
-        null.histogram("z").observe(2.0)
-        with null.timer("t").time():
-            pass
-        assert null.snapshot() == {}
-        assert len(null) == 0
-        assert "x" not in null
 
     def test_collecting_restores_previous_state(self):
         outer = metrics.enable()

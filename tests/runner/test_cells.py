@@ -66,6 +66,16 @@ class TestPlatformSpec:
         assert "queue" in dumbbell.describe()
         assert "use_red" in testbed.describe()
 
+    @pytest.mark.parametrize("name", [
+        "bogus", "scheduler", "long_flows", "queue_factory", "tcp", "seed",
+    ])
+    def test_rejects_extra_the_config_cannot_take(self, name):
+        # Unknown fields, and fields the spec fills itself, fail when
+        # the spec is made -- not later in to_config(), maybe in a worker.
+        with pytest.raises(ValidationError, match=repr(name)):
+            PlatformSpec(kind="parking_lot", n_flows=8, seed=1,
+                         extra=((name, 1),))
+
 
 class TestDeploymentSpec:
     def test_from_attack_duckwraps_trains_and_offsets(self):

@@ -56,6 +56,17 @@ class TestFig06Determinism:
         assert first.render() == second.render()
 
 
+class CellAtATimeRunner(ExperimentRunner):
+    """A runner that gives every cell its own unit: no forks at all.
+
+    A one-cell unit runs :func:`~repro.runner.execute_cell`, so this is
+    the from-scratch reference for a whole figure.
+    """
+
+    def _plan_units(self, pending):
+        return [[(key, cell)] for key, cell in pending.items()]
+
+
 class TestWarmStartDeterminism:
     def test_gain_figure_identical_with_and_without_warm_start(self):
         # The figure drivers funnel every measurement through the
@@ -66,15 +77,17 @@ class TestWarmStartDeterminism:
         kwargs = dict(flow_counts=[2], extents=[ms(100)], gammas=(0.4, 0.7))
         previous = set_default_runner(None)
         try:
-            warm_runner = ExperimentRunner(jobs=1, warm_start=True)
+            warm_runner = ExperimentRunner(jobs=1)
             set_default_runner(warm_runner)
             warm = run_gain_figure(6, **kwargs)
-            set_default_runner(ExperimentRunner(jobs=1, warm_start=False))
+            cold_runner = CellAtATimeRunner(jobs=1)
+            set_default_runner(cold_runner)
             cold = run_gain_figure(6, **kwargs)
         finally:
             set_default_runner(previous)
 
         assert warm_runner.stats.warm_starts > 0  # the fast path ran
+        assert cold_runner.stats.warm_starts == 0
 
         for a, b in zip(warm.all_curves(), cold.all_curves()):
             assert [p.measured_degradation for p in a.points] == [

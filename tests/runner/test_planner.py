@@ -225,16 +225,6 @@ class TestFluidPrepass:
         with pytest.raises(ValidationError):
             PlannerPolicy(**kwargs)
 
-    def test_no_fluid_env_disables_only_the_prepass(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        monkeypatch.setenv("REPRO_NO_FLUID", "1")
-        active = active_policy()
-        assert active is not FAST_POLICY
-        assert not active.fluid_prepass
-        assert dataclasses.replace(active, fluid_prepass=True) == FAST_POLICY
-        monkeypatch.setenv("REPRO_NO_FLUID", "0")
-        assert active_policy() is FAST_POLICY
-
 
 class TestSeedAllocation:
     def test_noise_free_samples_settle_at_two_seeds(self):

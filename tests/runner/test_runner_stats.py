@@ -163,3 +163,36 @@ class TestRunnerIntegration:
         assert stats.parallel_worker_seconds == pytest.approx(
             2.0 * stats.parallel_wall_seconds)
         assert 0.0 < stats.worker_utilization <= 1.0
+
+    def test_snapshot_after_one_batch_is_pinned(self):
+        # The store and the benchmark harness read these keys by name;
+        # the whole dict is pinned so a renamed or dropped counter fails.
+        from repro.core.attack import PulseTrain
+        from repro.util.units import mbps, ms
+
+        platform = PlatformSpec(kind="dumbbell", n_flows=1, seed=8)
+        trains = [PulseTrain.uniform(ms(100), mbps(30), space, 2)
+                  for space in (0.4, 0.9)]
+        cells = [Cell(platform=platform, warmup=0.5, window=0.5, train=train)
+                 for train in [None] + trains + trains[:1]]
+        runner = ExperimentRunner()
+        runner.measure_many(cells)
+        stats = runner.stats
+        executed_seconds = sum(timing.elapsed for timing in stats.timings)
+        assert stats.snapshot() == {
+            "cells": 4, "executed": 3, "cache_hits": 0, "memo_hits": 1,
+            "hit_ratio": 0.25, "executed_seconds": executed_seconds,
+            "warm_starts": 2, "warmup_sims": 1, "warmup_seconds_saved": 1.0,
+            "planner_rounds": 0, "planner_cells_saved": 0,
+            "planner_seeds_saved": 0, "truncated_cells": 0,
+            "truncated_sim_seconds": 0.0, "fluid_cells": 0,
+            "seed_fanout": 1, "parallel_batches": 0,
+            "parallel_wall_seconds": 0.0, "parallel_busy_seconds": 0.0,
+            "worker_utilization": None,
+        }
+        assert stats.delta_snapshot(stats.checkpoint()) == dict.fromkeys(
+            ["cells", "hit_ratio", "executed", "cache_hits", "memo_hits",
+             "executed_seconds", "warm_starts", "warmup_sims",
+             "warmup_seconds_saved", "planner_rounds", "planner_cells_saved",
+             "planner_seeds_saved", "truncated_cells",
+             "truncated_sim_seconds", "fluid_cells"], 0)

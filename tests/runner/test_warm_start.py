@@ -1,10 +1,10 @@
 """Warm-start scheduling: grouping, bit-identity, stats, pool lifecycle.
 
-The contract under test: an :class:`ExperimentRunner` with warm starts
-enabled (the default) returns byte-for-byte the same
-:class:`CellResult` objects as one with ``warm_start=False`` -- across
-attack shapes, deployments, conformance detection, platforms, and job
-counts -- while paying for each shared warm-up prefix once.
+The contract under test: an :class:`ExperimentRunner` returns
+byte-for-byte the same :class:`CellResult` objects as running
+:func:`execute_cell` on each cell from scratch -- across attack shapes,
+deployments, conformance detection, platforms, and job counts -- while
+paying for each shared warm-up prefix once.
 """
 
 import pytest
@@ -15,6 +15,8 @@ from repro.runner import (
     DeploymentSpec,
     ExperimentRunner,
     PlatformSpec,
+    ResultCache,
+    cell_key,
     execute_cell,
     execute_cell_group,
     get_default_runner,
@@ -91,11 +93,10 @@ class TestGroupExecutor:
 class TestBitIdentity:
     @staticmethod
     def run_both(cells, **kwargs):
-        warm = ExperimentRunner(warm_start=True, **kwargs)
-        cold = ExperimentRunner(warm_start=False, **kwargs)
-        with warm, cold:
+        """The runner's results and the from-scratch reference."""
+        with ExperimentRunner(**kwargs) as warm:
             warm_results = warm.measure_many(cells)
-            cold_results = cold.measure_many(cells)
+        cold_results = [execute_cell(cell) for cell in cells]
         return warm, warm_results, cold_results
 
     def test_sweep_identical_warm_vs_cold(self):
@@ -149,17 +150,24 @@ class TestBitIdentity:
 
 
 class TestStatsAndCache:
-    def test_cold_runner_reports_no_warm_starts(self):
-        runner = ExperimentRunner(warm_start=False)
-        runner.measure_many(sweep_cells())
+    def test_distinct_prefixes_fork_nothing(self):
+        # One cell per warm-up prefix: every unit is a single cell, so
+        # nothing is forked and nothing is saved.
+        runner = ExperimentRunner()
+        runner.measure_many([sweep_cells(seed=seed)[1] for seed in (41, 42)])
         assert runner.stats.warm_starts == 0
+        assert runner.stats.warmup_sims == 2
         assert runner.stats.warmup_seconds_saved == 0.0
 
     def test_cache_keys_unchanged_by_warm_start(self, tmp_path):
+        # Forked results land under each cell's own key, holding what a
+        # from-scratch execution of that cell returns.
         cells = sweep_cells()
-        ExperimentRunner(cache_dir=tmp_path, warm_start=True).measure_many(
-            cells)
-        replay = ExperimentRunner(cache_dir=tmp_path, warm_start=False)
+        ExperimentRunner(cache_dir=tmp_path).measure_many(cells)
+        cache = ResultCache(tmp_path)
+        assert [cache.get(cell_key(cell)) for cell in cells] == [
+            execute_cell(cell) for cell in cells]
+        replay = ExperimentRunner(cache_dir=tmp_path)
         replay.measure_many(cells)
         assert replay.stats.cache_hits == len(cells)
         assert replay.stats.executed == 0
@@ -237,11 +245,3 @@ class TestEnvironment:
         set_default_runner(None)
         monkeypatch.setenv("REPRO_JOBS", "  ")
         assert get_default_runner().jobs == 1
-
-    def test_no_warm_start_env_opts_out(self, monkeypatch):
-        set_default_runner(None)
-        monkeypatch.setenv("REPRO_NO_WARM_START", "1")
-        assert get_default_runner().warm_start is False
-        set_default_runner(None)
-        monkeypatch.delenv("REPRO_NO_WARM_START")
-        assert get_default_runner().warm_start is True

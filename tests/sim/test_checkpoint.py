@@ -160,13 +160,13 @@ class TestEdgeCases:
         assert fork.state_digest() == net.state_digest()
 
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_fork_round_trip_per_backend(self, scheduler):
+    def test_fork_round_trip_per_backend(self, scheduler, pin_backend):
         # The fork contract is backend-agnostic: freezing a network
         # whose simulator runs the calendar queue (buckets, front,
         # freelist, seq counter) must round-trip as exactly as the
         # heap, and the fork must keep evolving bit-identically.
-        config = DumbbellConfig(n_flows=4, seed=9, scheduler=scheduler)
-        net = build_dumbbell(config)
+        pin_backend(scheduler)
+        net = build_dumbbell(DumbbellConfig(n_flows=4, seed=9))
         net.start_flows()
         net.run(2.0)
         assert net.sim.scheduler == scheduler
@@ -181,23 +181,25 @@ class TestEdgeCases:
         assert fork.aggregate_goodput_bytes() == net.aggregate_goodput_bytes()
         assert drop_totals(fork) == drop_totals(net)
 
-    def test_fork_digest_equal_across_backends(self):
+    def test_fork_digest_equal_across_backends(self, pin_backend):
         # Two networks warmed identically on different backends agree
-        # on the digest; forks taken from each agree with both.
-        nets = []
+        # on the digest, and so do forks taken from each.  Each backend's
+        # network and fork run under its own pin: a re-pin would migrate
+        # a heap fork that has not run yet.
+        warm_digests, fork_digests = [], []
         for scheduler in ("heap", "calendar"):
-            config = DumbbellConfig(n_flows=3, seed=5, scheduler=scheduler)
-            net = build_dumbbell(config)
+            pin_backend(scheduler)
+            net = build_dumbbell(DumbbellConfig(n_flows=3, seed=5))
             net.start_flows()
             net.run(2.0)
-            nets.append(net)
-        heap_net, cal_net = nets
-        assert heap_net.state_digest() == cal_net.state_digest()
-        heap_fork, _ = NetworkSnapshot(heap_net).fork()
-        cal_fork, _ = NetworkSnapshot(cal_net).fork()
-        for candidate in (heap_fork, cal_fork):
-            candidate.run(4.0)
-        assert heap_fork.state_digest() == cal_fork.state_digest()
+            warm_digests.append(net.state_digest())
+            fork, _ = NetworkSnapshot(net).fork()
+            fork.run(4.0)
+            assert (net.sim.scheduler, fork.sim.scheduler) == (
+                scheduler, scheduler)
+            fork_digests.append(fork.state_digest())
+        assert warm_digests[0] == warm_digests[1]
+        assert fork_digests[0] == fork_digests[1]
 
     def test_snapshot_mid_pulse(self):
         # Freezing while an attack pulse is actively emitting (its next

@@ -272,10 +272,9 @@ def run_dumbbell(**config_kw):
     return net
 
 
-def run_parking_lot(scheduler="auto", until=4.0):
+def run_parking_lot(until=4.0):
     config = ParkingLotConfig(
         n_segments=2, long_flows=4, cross_flows=2, seed=5,
-        scheduler=scheduler,
     )
     net = build_parking_lot(config)
     net.start_flows()
@@ -335,10 +334,14 @@ class TestBitIdenticality:
         got = hashlib.sha256(repr(net.state_digest()).encode()).hexdigest()
         assert got == digest_sha
 
-    def test_parking_lot_heap_vs_calendar(self):
+    def test_parking_lot_heap_vs_calendar(self, pin_backend):
         """Cross-backend fingerprint: heap and calendar dispatch match."""
-        heap = run_parking_lot(scheduler="heap")
-        calendar = run_parking_lot(scheduler="calendar")
+        pin_backend("heap")
+        heap = run_parking_lot()
+        assert heap.sim.scheduler == "heap"
+        pin_backend("calendar")
+        calendar = run_parking_lot()
+        assert calendar.sim.scheduler == "calendar"
         assert heap.sim.events_executed == calendar.sim.events_executed
         assert heap.state_digest() == calendar.state_digest()
 

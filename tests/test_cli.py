@@ -22,6 +22,14 @@ class TestParser:
         }
         assert set(EXPERIMENTS) == expected
 
+    def test_every_experiment_names_an_importable_function(self):
+        import repro.experiments
+        from repro.cli import _ENTRY_POINTS
+
+        assert set(_ENTRY_POINTS) == set(EXPERIMENTS)
+        for function, _args in _ENTRY_POINTS.values():
+            assert callable(getattr(repro.experiments, function))
+
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
@@ -47,17 +55,6 @@ class TestParser:
         assert args.jobs == 1
         assert not args.no_cache
         assert args.cache_dir is None
-        assert not args.no_warm_start
-
-    def test_no_warm_start_flag_disables_checkpointing(self):
-        from repro.cli import _make_runner
-
-        args = build_parser().parse_args(["fig06", "--no-warm-start",
-                                          "--no-cache"])
-        assert args.no_warm_start
-        assert _make_runner(args).warm_start is False
-        default = build_parser().parse_args(["fig06", "--no-cache"])
-        assert _make_runner(default).warm_start is True
 
     def test_store_flag_off_by_default(self):
         args = build_parser().parse_args(["fig04"])

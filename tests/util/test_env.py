@@ -6,8 +6,12 @@ a :class:`ValidationError` that names the variable and the offending
 value, and "unset or blank means default" everywhere.
 """
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.util.env import (
     FALSY,
     TRUTHY,
@@ -131,3 +135,22 @@ class TestConsumersRouteThroughHelpers:
         monkeypatch.setenv("REPRO_FULL", "2")
         with pytest.raises(ValidationError, match="REPRO_FULL"):
             full_scale()
+
+
+class TestReadmeTable:
+    def test_table_lists_exactly_the_variables_read(self):
+        # Every REPRO_* name a repro.util.env parser reads in the
+        # package is a row of README's "Environment variables" table,
+        # and every row is read somewhere.
+        package = pathlib.Path(repro.__file__).resolve().parent
+        read = set()
+        for path in package.rglob("*.py"):
+            read.update(re.findall(
+                r'env_(?:flag|int|float|str|raw)\(\s*"(REPRO_\w+)"',
+                path.read_text()))
+        readme = (package.parents[1] / "README.md").read_text()
+        section = readme.split("### Environment variables", 1)[1]
+        section = section.split("\n#", 1)[0]
+        rows = set(re.findall(r"^\| `(REPRO_\w+)` \|", section, re.M))
+        assert read
+        assert rows == read
