@@ -28,7 +28,9 @@ bit-identical regardless of job count or cache state.
 ``--dry-run`` plans instead of executing: each experiment prints the
 cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
-simulation (cells that would execute resolve to placeholders).
+simulation (cells that would execute resolve to placeholders).  It
+refuses fast mode: the adaptive planner picks its cells from measured
+gains, which a dry run does not have.
 
 ``--profile`` wraps each experiment in :func:`repro.sim.profile.profile_run`
 and prints wall time, simulator events/sec, and the hottest functions
@@ -172,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run", action="store_true",
         help="plan instead of executing: print each experiment's cells "
              "(to execute / cache hits / memo hits) and the warm-up "
-             "prefixes it would simulate, then exit without simulating",
+             "prefixes it would simulate, then exit without simulating "
+             "(exact mode only; not with --fast)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -511,10 +514,6 @@ def main(argv=None) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    if args.full:
-        os.environ["REPRO_FULL"] = "1"
-    if args.fast:
-        os.environ["REPRO_FAST"] = "1"
     if args.record and args.store is None:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)
@@ -523,13 +522,25 @@ def main(argv=None) -> int:
         print("--dry-run plans only; it cannot be combined with --store "
               "or --record", file=sys.stderr)
         return 2
+    from repro.util.env import env_flag
+
+    if args.dry_run and (args.fast or env_flag("REPRO_FAST")):
+        # The planner picks its next gammas from measured gains, which a
+        # dry run only has as placeholders: its plan would be fiction.
+        print("--dry-run cannot plan fast mode (--fast or REPRO_FAST=1): "
+              "the adaptive planner chooses cells from measured results",
+              file=sys.stderr)
+        return 2
+    if args.full:
+        os.environ["REPRO_FULL"] = "1"
+    if args.fast:
+        os.environ["REPRO_FAST"] = "1"
     from repro.runner import set_default_runner
     runner = _make_runner(args)
     set_default_runner(runner)
     store = None
     if args.store is not None:
         from repro.obs.store import ExperimentStore, git_sha
-        from repro.util.env import env_flag
 
         store = ExperimentStore(args.store)
         store.begin_run(

@@ -23,12 +23,13 @@ import numpy as np
 from repro.experiments.base import (
     DumbbellPlatform,
     GainCurve,
+    _dumbbell_tcp_config,
     default_gammas,
     plan_gain_sweep,
     render_curve_table,
     run_gain_sweeps,
 )
-from repro.sim.tcp import TCPConfig, TCPVariant
+from repro.sim.tcp import TCPVariant
 from repro.util.units import mbps, ms
 
 __all__ = ["VictimAblation", "run_victim_ablation"]
@@ -82,7 +83,8 @@ def run_victim_ablation(
         plan_gain_sweep(
             DumbbellPlatform(
                 n_flows=n_flows, seed=700,
-                tcp=TCPConfig(variant=variant, delayed_ack=2, min_rto=1.0),
+                tcp=dataclasses.replace(_dumbbell_tcp_config(),
+                                        variant=variant),
             ),
             rate_bps=rate_bps, extent=extent, gammas=gammas,
             label=variant.value,

@@ -7,9 +7,10 @@ TCP throughput with and without the attack, and compare the measured
 attack gain ``G = Γ_measured · (1 − γ)^κ`` against the analytical curve
 ``(1 − C_ψ/γ)(1 − γ)^κ``.
 
-:class:`DumbbellPlatform` and :class:`TestbedPlatform` adapt the two
-validation environments to one interface; :func:`run_gain_sweep` does
-the paired baseline/attack measurement per γ.
+:func:`DumbbellPlatform` and :func:`TestbedPlatform` describe the two
+validation environments as :class:`~repro.runner.PlatformSpec` values
+with the paper's stacks; :func:`run_gain_sweep` does the paired
+baseline/attack measurement per γ.
 
 Experiment scale: by default sweeps run at a reduced horizon so the
 whole benchmark suite completes in minutes; set the environment variable
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +30,8 @@ from repro.core.attack import PulseTrain
 from repro.core.classify import GainComparison, classify_gain
 from repro.core.gain import attack_gain
 from repro.core.shrew import flag_shrew_points, ShrewPoint
-from repro.core.throughput import VictimPopulation, c_psi
+from repro.core.throughput import c_psi
 from repro.runner import Cell, ExperimentRunner, PlatformSpec, get_default_runner
-from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp import TCPConfig, TCPVariant
 from repro.util.env import env_flag
 from repro.util.errors import ValidationError
@@ -75,100 +75,21 @@ def _dumbbell_tcp_config() -> TCPConfig:
     return TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0)
 
 
-class _SweepPlatform:
-    """Shared measurement front-end over the experiment runner.
-
-    Both validation environments measure through one implementation:
-    the platform reduces itself to a serializable
-    :class:`~repro.runner.PlatformSpec` and each measurement becomes a
-    runner :class:`~repro.runner.Cell`.  The runner memoizes (and
-    optionally disk-caches) results under a key covering the *full*
-    scenario -- platform kind, flow count, queue discipline, TCP stack,
-    seed, pulse train, and measurement window -- so the shared no-attack
-    baseline of a multi-curve sweep is measured once, and two platforms
-    that differ only in seed or config can never collide.
-    """
-
-    def spec(self) -> PlatformSpec:
-        """The serializable identity measurements are keyed/built by."""
-        raise NotImplementedError
-
-    def measure_goodput(self, train: Optional[PulseTrain], *, warmup: float,
-                        window: float,
-                        runner: Optional[ExperimentRunner] = None) -> float:
-        """Payload bytes delivered in [warmup, warmup+window], attack optional."""
-        runner = runner if runner is not None else get_default_runner()
-        cell = Cell(
-            platform=self.spec(), train=train, warmup=warmup, window=window,
-        )
-        return runner.measure(cell).goodput_bytes
-
-
-class DumbbellPlatform(_SweepPlatform):
+def DumbbellPlatform(*, n_flows: int = 15, queue: str = "red",
+                     seed: int = 1,
+                     tcp: Optional[TCPConfig] = None) -> PlatformSpec:
     """The ns-2-style dumbbell environment (Figs. 6-10)."""
-
-    def __init__(self, *, n_flows: int = 15, queue: str = "red",
-                 seed: int = 1, tcp: Optional[TCPConfig] = None) -> None:
-        self.n_flows = n_flows
-        self.queue = queue
-        self.seed = seed
-        self.tcp = tcp if tcp is not None else _dumbbell_tcp_config()
-        self._config = self.spec().to_config()
-
-    def spec(self) -> PlatformSpec:
-        return PlatformSpec(
-            kind="dumbbell", n_flows=self.n_flows, seed=self.seed,
-            queue=self.queue, tcp=self.tcp,
-        )
-
-    @property
-    def bottleneck_bps(self) -> float:
-        return self._config.bottleneck_rate_bps
-
-    @property
-    def min_rto(self) -> float:
-        return self.tcp.min_rto
-
-    def victim_population(self) -> VictimPopulation:
-        return VictimPopulation(
-            rtts=self._config.flow_rtts(),
-            delayed_ack=self.tcp.delayed_ack,
-            s_packet=FULL_PACKET_BYTES,
-        )
+    return PlatformSpec(
+        kind="dumbbell", n_flows=n_flows, seed=seed, queue=queue,
+        tcp=tcp if tcp is not None else _dumbbell_tcp_config(),
+    )
 
 
-class TestbedPlatform(_SweepPlatform):
-    """The Dummynet test-bed environment (Fig. 12)."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    def __init__(self, *, n_flows: int = 10, use_red: bool = True,
-                 seed: int = 7) -> None:
-        self.n_flows = n_flows
-        self.use_red = use_red
-        self.seed = seed
-        self._config = self.spec().to_config()
-
-    def spec(self) -> PlatformSpec:
-        return PlatformSpec(
-            kind="testbed", n_flows=self.n_flows, seed=self.seed,
-            use_red=self.use_red,
-        )
-
-    @property
-    def bottleneck_bps(self) -> float:
-        return self._config.pipe.bandwidth_bps
-
-    @property
-    def min_rto(self) -> float:
-        return self._config.tcp.min_rto
-
-    def victim_population(self) -> VictimPopulation:
-        return VictimPopulation(
-            rtts=self._config.rtt() * np.ones(self.n_flows),
-            delayed_ack=self._config.tcp.delayed_ack,
-            s_packet=FULL_PACKET_BYTES,
-        )
+def TestbedPlatform(*, n_flows: int = 10, use_red: bool = True,
+                    seed: int = 7) -> PlatformSpec:
+    """The Dummynet test-bed environment (Fig. 12), Linux stack."""
+    return PlatformSpec(kind="testbed", n_flows=n_flows, seed=seed,
+                        use_red=use_red)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +278,7 @@ def build_classified_curve(
 
 
 def plan_gain_sweep(
-    platform,
+    platform: PlatformSpec,
     *,
     rate_bps: float,
     extent: float,
@@ -404,7 +325,7 @@ def plan_gain_sweep(
         ))
 
     return GainSweepPlan(
-        platform_spec=platform.spec(),
+        platform_spec=platform,
         rate_bps=rate_bps,
         extent=extent,
         gammas=tuple(float(g) for g in gammas),
@@ -450,7 +371,7 @@ def run_gain_sweeps(
 
 
 def run_gain_sweep(
-    platform,
+    platform: PlatformSpec,
     *,
     rate_bps: float,
     extent: float,

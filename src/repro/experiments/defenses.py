@@ -27,13 +27,13 @@ from repro.core.attack import PulseTrain
 from repro.experiments.base import (
     DumbbellPlatform,
     GainCurve,
+    _dumbbell_tcp_config,
     default_gammas,
     plan_gain_sweep,
     render_curve_table,
     run_gain_sweeps,
 )
-from repro.runner import Cell, PlatformSpec, get_default_runner
-from repro.sim.tcp import TCPConfig, TCPVariant
+from repro.runner import Cell, get_default_runner
 from repro.util.units import mbps, ms
 
 __all__ = ["RTODefenseResult", "run_rto_randomization",
@@ -83,12 +83,9 @@ class RTODefenseResult:
 
 def _attack_cell(train: PulseTrain, *, jitter: float, n_flows: int,
                  warmup: float, window: float, seed: int) -> Cell:
-    tcp = TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0,
-                    rto_jitter=jitter)
+    tcp = dataclasses.replace(_dumbbell_tcp_config(), rto_jitter=jitter)
     return Cell(
-        platform=PlatformSpec(
-            kind="dumbbell", n_flows=n_flows, seed=seed, tcp=tcp,
-        ),
+        platform=DumbbellPlatform(n_flows=n_flows, seed=seed, tcp=tcp),
         train=train, warmup=warmup, window=window,
     )
 
@@ -116,11 +113,12 @@ def run_rto_randomization(
     re-runs.
     """
     n_pulses = int(np.ceil(window)) + 2
-    shrew = ShrewAttack(min_rto=1.0, rate_bps=mbps(40),
+    platform = DumbbellPlatform(n_flows=n_flows)
+    shrew = ShrewAttack(min_rto=platform.min_rto, rate_bps=mbps(40),
                         extent=ms(150)).train(n_pulses)
     aimd = PulseTrain.from_gamma(
         gamma=0.6, rate_bps=mbps(30), extent=ms(100),
-        bottleneck_bps=mbps(15), n_pulses=3 * n_pulses + 2,
+        bottleneck_bps=platform.bottleneck_bps, n_pulses=3 * n_pulses + 2,
     )
     seeds = range(seed, seed + n_seeds)
     conditions = [(shrew, 0.0), (shrew, jitter), (aimd, 0.0), (aimd, jitter)]

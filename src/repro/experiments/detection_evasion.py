@@ -26,15 +26,16 @@ from repro.core.optimizer import optimal_attack
 from repro.detection.dtw import DTWPulseDetector, DTWVerdict
 from repro.detection.feature import ConformanceDetector
 from repro.detection.flood import FloodDetector, FloodVerdict
-from repro.experiments.base import full_scale
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.tcp import TCPConfig, TCPVariant
+from repro.experiments.base import DumbbellPlatform, full_scale
 from repro.sim.trace import RateMonitor
 from repro.util.units import mbps, ms
 
 __all__ = ["EvasionScenario", "EvasionReport", "run_detection_evasion"]
 
 _BIN_WIDTH = 0.02
+
+#: The victims every condition measures: 15 flows, the ns-2 stack.
+_PLATFORM = DumbbellPlatform(n_flows=15, seed=77)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,14 +78,10 @@ class EvasionReport:
 
 def _run_condition(name: str, train: Optional[PulseTrain],
                    horizon: float) -> EvasionScenario:
-    config = DumbbellConfig(
-        n_flows=15,
-        tcp=TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0),
-        seed=77,
-    )
-    net = build_dumbbell(config)
+    net = _PLATFORM.build()
+    capacity = _PLATFORM.bottleneck_bps
     monitor = RateMonitor(_BIN_WIDTH, horizon)
-    conformance = ConformanceDetector(min_rate_bps=0.5 * config.bottleneck_rate_bps)
+    conformance = ConformanceDetector(min_rate_bps=0.5 * capacity)
 
     warmup = 5.0
     net.start_flows()
@@ -105,7 +102,6 @@ def _run_condition(name: str, train: Optional[PulseTrain],
         attack_flow_id = source.flow_id
     net.run(until=warmup + horizon)
 
-    capacity = config.bottleneck_rate_bps
     volume = FloodDetector(capacity, threshold_fraction=1.2, window=5.0)
     flood_verdict = volume.inspect(monitor.bytes_per_bin, _BIN_WIDTH)
     # The DTW detector, like its reference, examines a window of traffic
@@ -142,17 +138,14 @@ def run_detection_evasion(*, kappa_neutral: float = 1.0,
     """
     if horizon is None:
         horizon = 60.0 if full_scale() else 25.0
-    config = DumbbellConfig(n_flows=15)
-    from repro.core.throughput import VictimPopulation
-
-    victims = VictimPopulation(rtts=config.flow_rtts(), delayed_ack=2)
+    victims = _PLATFORM.victim_population()
     rate = mbps(30)
     extent = ms(100)
 
     def plan_for(kappa: float):
         return optimal_attack(
             victims, rate_bps=rate, extent=extent,
-            bottleneck_bps=config.bottleneck_rate_bps, kappa=kappa,
+            bottleneck_bps=_PLATFORM.bottleneck_bps, kappa=kappa,
             n_pulses=int(horizon / 0.2) + 2,
         )
 

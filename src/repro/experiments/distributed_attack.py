@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.core.attack import PulseTrain
 from repro.core.distributed import split_interleaved, split_synchronized
-from repro.runner import Cell, DeploymentSpec, PlatformSpec, get_default_runner
+from repro.experiments.base import DumbbellPlatform
+from repro.runner import Cell, DeploymentSpec, get_default_runner
 from repro.runner.cells import goodput_rate
 from repro.runner.planner import FAST_POLICY, fast_mode
-from repro.sim.tcp import TCPConfig, TCPVariant
 from repro.util.units import mbps, ms
 
 __all__ = ["DistributedResult", "run_distributed_attack"]
@@ -97,7 +97,8 @@ def run_distributed_attack(
     if fast is None:
         fast = fast_mode()
     early_exit = FAST_POLICY.early_exit if fast else None
-    bottleneck = mbps(15)
+    platform = DumbbellPlatform(n_flows=n_flows, seed=seed)
+    bottleneck = platform.bottleneck_bps
     period = PulseTrain.period_from_gamma(
         gamma=gamma, rate_bps=rate_bps, extent=extent,
         bottleneck_bps=bottleneck,
@@ -113,10 +114,6 @@ def run_distributed_attack(
     # average -- a floor the single attacker trips and a k>=4 split ducks.
     rate_floor = 0.3 * train.mean_rate_bps()
 
-    platform = PlatformSpec(
-        kind="dumbbell", n_flows=n_flows, seed=seed,
-        tcp=TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0),
-    )
     synchronized = split_synchronized(train, n_sources)
     interleaved = split_interleaved(train, n_sources)
 

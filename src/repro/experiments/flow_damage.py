@@ -25,9 +25,7 @@ import numpy as np
 from repro.analysis.stats import FlowDamage, jain_fairness_index, per_flow_damage
 from repro.core.attack import PulseTrain
 from repro.core.timeout_model import FlowRegime, per_flow_predictions
-from repro.core.throughput import VictimPopulation
-from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.experiments.base import DumbbellPlatform
 from repro.util.units import mbps, ms
 
 __all__ = ["FlowDamageReport", "run_flow_damage"]
@@ -94,16 +92,15 @@ def run_flow_damage(
     seed: int = 31,
 ) -> FlowDamageReport:
     """Measure per-flow damage and cross-validate the regime model."""
-    tcp = TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0)
+    platform = DumbbellPlatform(n_flows=n_flows, seed=seed)
     train = PulseTrain.from_gamma(
         gamma=gamma, rate_bps=rate_bps, extent=extent,
-        bottleneck_bps=mbps(15),
+        bottleneck_bps=platform.bottleneck_bps,
         n_pulses=int(np.ceil(window / 0.2)) + 2,
     )
 
     def measure(attacked: bool) -> np.ndarray:
-        net = build_dumbbell(DumbbellConfig(n_flows=n_flows, tcp=tcp,
-                                            seed=seed))
+        net = platform.build()
         net.start_flows()
         net.run(until=warmup)
         before = net.goodput_snapshot()
@@ -112,17 +109,16 @@ def run_flow_damage(
         net.run(until=warmup + window)
         return net.goodput_snapshot() - before
 
-    rtts = DumbbellConfig(n_flows=n_flows).flow_rtts()
     baseline = measure(False)
     attacked = measure(True)
 
-    victims = VictimPopulation(rtts=rtts, delayed_ack=2)
+    victims = platform.victim_population()
     predictions = per_flow_predictions(
-        victims, period=train.period, min_rto=tcp.min_rto,
-        bottleneck_bps=mbps(15),
+        victims, period=train.period, min_rto=platform.min_rto,
+        bottleneck_bps=platform.bottleneck_bps,
     )
     return FlowDamageReport(
-        damages=per_flow_damage(rtts, baseline, attacked),
+        damages=per_flow_damage(victims.rtts, baseline, attacked),
         regimes=[p.regime for p in predictions],
         fairness_before=jain_fairness_index(baseline),
         fairness_during=jain_fairness_index(np.clip(attacked, 0, None)),

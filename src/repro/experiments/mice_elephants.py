@@ -23,8 +23,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.attack import PulseTrain
-from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.experiments.base import DumbbellPlatform
+from repro.runner import PlatformSpec
 from repro.sim.workload import ShortFlowWorkload
 from repro.util.units import mbps, ms
 
@@ -91,16 +91,14 @@ class MiceElephantsResult:
         return "\n".join(lines)
 
 
-def _run_condition(train: Optional[PulseTrain], *, n_elephants: int,
-                   warmup: float, window: float,
-                   seed: int) -> PopulationOutcome:
-    tcp = TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0)
-    net = build_dumbbell(DumbbellConfig(n_flows=n_elephants, tcp=tcp,
-                                        seed=seed))
+def _run_condition(train: Optional[PulseTrain], *, platform: PlatformSpec,
+                   warmup: float, window: float) -> PopulationOutcome:
+    net = platform.build()
     mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
     workload = ShortFlowWorkload(
-        net.sim, mice_src, mice_dst, tcp=tcp,
-        mean_size_segments=15.0, mean_interarrival=0.4, seed=seed + 1,
+        net.sim, mice_src, mice_dst, tcp=platform.tcp,
+        mean_size_segments=15.0, mean_interarrival=0.4,
+        seed=platform.seed + 1,
     )
     net.start_flows()
     net.run(until=warmup)
@@ -135,13 +133,13 @@ def run_mice_elephants(
     seed: int = 41,
 ) -> MiceElephantsResult:
     """Measure both populations with and without the attack."""
+    platform = DumbbellPlatform(n_flows=n_elephants, seed=seed)
     train = PulseTrain.from_gamma(
         gamma=gamma, rate_bps=rate_bps, extent=extent,
-        bottleneck_bps=mbps(15),
+        bottleneck_bps=platform.bottleneck_bps,
         n_pulses=int(np.ceil(window / 0.2)) + 2,
     )
-    kwargs = dict(n_elephants=n_elephants, warmup=warmup, window=window,
-                  seed=seed)
+    kwargs = dict(platform=platform, warmup=warmup, window=window)
     return MiceElephantsResult(
         baseline=_run_condition(None, **kwargs),
         attacked=_run_condition(train, **kwargs),

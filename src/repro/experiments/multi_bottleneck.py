@@ -21,7 +21,7 @@ constraint:
   segments, loading two AQMs with every pulse.
 
 γ is always normalized by the tightest *attacked* segment
-(:meth:`~repro.sim.topology.ParkingLotConfig.attacked_rate_bps`), so
+(:meth:`~repro.sim.topology.ParkingLotConfig.contested_rate_bps`), so
 the sweeps stay comparable across panels.
 
 Scale: honours ``REPRO_FULL=1`` like every driver; additionally
@@ -36,11 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.throughput import VictimPopulation
 from repro.experiments.base import (
     DumbbellPlatform,
     GainCurve,
-    _SweepPlatform,
     _dumbbell_tcp_config,
     default_gammas,
     full_scale,
@@ -49,7 +47,6 @@ from repro.experiments.base import (
     run_gain_sweeps,
 )
 from repro.runner import PlatformSpec
-from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp import TCPConfig
 from repro.util.env import env_flag
 from repro.util.errors import ValidationError
@@ -68,50 +65,23 @@ def smoke_scale() -> bool:
     return env_flag("REPRO_SMOKE")
 
 
-class ParkingLotPlatform(_SweepPlatform):
+def ParkingLotPlatform(*, n_flows: int = 8, queue: str = "red",
+                       seed: int = 1, tcp: Optional[TCPConfig] = None,
+                       **config_fields) -> PlatformSpec:
     """The N-bottleneck parking-lot environment, sweep-ready.
 
-    Adapts :class:`~repro.sim.topology.ParkingLotConfig` to the gain
-    sweep's platform interface: γ normalizes by the tightest attacked
-    segment, and the victim population is the *long* flows (the ones
-    crossing every segment), whose numpy-drawn RTTs feed C_ψ exactly as
-    the dumbbell's even spread does.
+    *config_fields* are further
+    :class:`~repro.sim.topology.ParkingLotConfig` fields.  The victims
+    are the *long* flows (the ones crossing every segment), and γ
+    normalizes by the tightest attacked segment.
     """
-
-    def __init__(self, *, n_flows: int = 8, queue: str = "red",
-                 seed: int = 1, tcp: Optional[TCPConfig] = None,
-                 **config_fields) -> None:
-        self.n_flows = n_flows
-        self.queue = queue
-        self.seed = seed
-        self.tcp = tcp if tcp is not None else _dumbbell_tcp_config()
-        self._extra = tuple(sorted(config_fields.items()))
-        # Validates eagerly (segment counts, attack span, RTT bounds).
-        self._config = self.spec().to_config()
-
-    def spec(self) -> PlatformSpec:
-        return PlatformSpec(
-            kind="parking_lot", n_flows=self.n_flows, seed=self.seed,
-            queue=self.queue, tcp=self.tcp,
-            extra=self._extra or None,
-        )
-
-    @property
-    def bottleneck_bps(self) -> float:
-        """γ's normalizer: the tightest attacked segment's rate."""
-        return self._config.attacked_rate_bps()
-
-    @property
-    def min_rto(self) -> float:
-        return self.tcp.min_rto
-
-    def victim_population(self) -> VictimPopulation:
-        long_rtts, _ = self._config.draw_rtts()
-        return VictimPopulation(
-            rtts=long_rtts,
-            delayed_ack=self.tcp.delayed_ack,
-            s_packet=FULL_PACKET_BYTES,
-        )
+    spec = PlatformSpec(
+        kind="parking_lot", n_flows=n_flows, seed=seed, queue=queue,
+        tcp=tcp if tcp is not None else _dumbbell_tcp_config(),
+        extra=tuple(sorted(config_fields.items())) or None,
+    )
+    spec.to_config()  # validates eagerly (segment counts, attack span, RTTs)
+    return spec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,7 +187,7 @@ def run_multi_bottleneck(
     cross = scale["cross_flows"]
     warmup, window = scale["warmup"], scale["window"]
 
-    panels: List[Tuple[str, str, _SweepPlatform]] = [
+    panels: List[Tuple[str, str, PlatformSpec]] = [
         # The dumbbell question re-asked on the chain machinery.
         ("single", "1 segment, no cross traffic", ParkingLotPlatform(
             n_flows=long_flows, seed=seed,

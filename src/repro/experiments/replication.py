@@ -21,6 +21,7 @@ from repro.experiments.base import (
     default_gammas,
     run_gain_sweep,
 )
+from repro.runner import PlatformSpec
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
 
@@ -82,7 +83,7 @@ class ReplicatedCurve:
 def replicate_gain_sweep(
     *,
     seeds: Sequence[int] = (11, 23, 47),
-    platform_factory: Optional[Callable[[int], DumbbellPlatform]] = None,
+    platform_factory: Optional[Callable[[int], PlatformSpec]] = None,
     rate_bps: float = mbps(30),
     extent: float = ms(100),
     gammas=None,

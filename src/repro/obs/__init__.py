@@ -3,7 +3,7 @@
 * :mod:`repro.obs.metrics` -- the registry (counters and gauges) and
   the process-wide enable/disable switch;
 * :mod:`repro.obs.instrument` -- publishers that snapshot component
-  counters (links, queues, TCP, runner) into the registry;
+  counters (links, queues, TCP) into the registry;
 * :mod:`repro.obs.store` -- the sqlite experiment store (queryable
   runs/experiments/cells/metrics/series; ``repro obs query``/``trace``);
 * :mod:`repro.obs.recorder` -- the in-sim flight recorder (bounded

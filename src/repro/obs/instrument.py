@@ -16,12 +16,12 @@ engine can depend on :mod:`repro.obs.metrics` without cycles.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["publish_links", "publish_tcp", "publish_nodes",
-           "publish_network", "publish_runner"]
+           "publish_network"]
 
 
 def publish_links(registry: MetricsRegistry,
@@ -100,17 +100,3 @@ def publish_network(registry: MetricsRegistry, *,
     publish_links(registry, links)
     publish_tcp(registry, senders)
     publish_nodes(registry, nodes)
-
-
-def publish_runner(registry: Optional[MetricsRegistry],
-                   snapshot: Mapping[str, object]) -> None:
-    """Publish an :class:`~repro.runner.runner.RunnerStats` snapshot.
-
-    Accepts ``None`` for the registry so the runner can call it
-    unconditionally with :func:`repro.obs.metrics.active`'s result.
-    """
-    if registry is None:
-        return
-    for key, value in snapshot.items():
-        if isinstance(value, (int, float)):
-            registry.gauge(f"runner.{key}").set(float(value))

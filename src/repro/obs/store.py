@@ -124,71 +124,51 @@ CREATE INDEX IF NOT EXISTS series_by_cell ON series(cell_id);
 """
 
 
-def _cell_shape(spec: dict) -> dict:
-    """Denormalized query columns from a cell's ``describe()`` payload.
+def _cell_shape(cell) -> dict:
+    """Denormalized query columns, read from the live cell.
 
-    ``gamma``/``extent``/``rate_bps`` are derived for single-train
-    attack cells (γ per the paper's Eq. 4: mean attack rate over the
-    bottleneck capacity); baselines and deployments leave them NULL.
+    ``extent``/``rate_bps`` are the first pulse's; ``gamma`` is Eq. 4
+    (mean attack rate over the platform's contested rate).  Baselines
+    and deployments leave all three NULL, and single pulses (no
+    period) leave ``gamma`` NULL.
     """
-    platform = spec.get("platform") or {}
+    platform = cell.platform
     shape = {
-        "backend": spec.get("backend", "packet"),
-        "kind": platform.get("kind", "?"),
-        "n_flows": int(platform.get("n_flows", 0)),
-        "seed": int(platform.get("seed", 0)),
+        "backend": cell.backend,
+        "kind": platform.kind,
+        "n_flows": platform.n_flows,
+        "seed": platform.seed,
         "gamma": None,
         "extent": None,
         "rate_bps": None,
     }
-    train = spec.get("train")
-    if train and train.get("extents"):
-        extents = train["extents"]
-        rates = train["rates_bps"]
-        spaces = train["spaces"]
-        shape["extent"] = float(extents[0])
-        shape["rate_bps"] = float(rates[0])
-        bottleneck = _bottleneck_bps(platform)
-        # The spec carries the n-1 *inter*-pulse gaps; the mean attack
-        # rate over full periods needs the trailing gap too, which for
-        # a (near-)uniform train is the mean space.  Single pulses have
-        # no period, so their gamma stays NULL.
-        if bottleneck and spaces:
-            burst = sum(e * r for e, r in zip(extents, rates))
-            period = (sum(extents) + sum(spaces)
-                      + sum(spaces) / len(spaces))
-            shape["gamma"] = burst / period / bottleneck
+    train = cell.train
+    if train is not None:
+        shape["extent"] = float(train.extents[0])
+        shape["rate_bps"] = float(train.rates_bps[0])
+        if train.spaces and train.is_uniform:
+            shape["gamma"] = train.gamma(platform.bottleneck_bps)
     return shape
 
 
-def _bottleneck_bps(platform: dict) -> Optional[float]:
-    """The platform's contested-link capacity, from its spec."""
-    # Specs carry only identity, not derived config -- rebuild the
-    # config dataclass to read the capacity the scenario would use.
-    try:
-        from repro.runner.cells import PlatformSpec
-        from repro.sim.tcp import TCPConfig
+def _platform_label(platform: dict) -> str:
+    """A short platform description for query output.
 
-        tcp = platform.get("tcp")
-        spec = PlatformSpec(
-            kind=platform["kind"], n_flows=platform["n_flows"],
-            seed=platform["seed"], queue=platform.get("queue", "red"),
-            use_red=platform.get("use_red", True),
-            tcp=None if tcp is None else TCPConfig(),
-        )
-        config = spec.to_config()
-    except Exception:
-        return None
-    for attr in ("bottleneck_rate_bps", "pipe_rate_bps", "bandwidth_bps"):
-        value = getattr(config, attr, None)
-        if value:
-            return float(value)
-    pipe = getattr(config, "pipe", None)
-    if pipe is not None:
-        value = getattr(pipe, "bandwidth_bps", None)
-        if value:
-            return float(value)
-    return None
+    Kind, queue (the test-bed's RED/drop-tail pipe), victim TCP variant
+    and any parking-lot fields, e.g. ``dumbbell red newreno``.
+    """
+    parts = [platform.get("kind", "?")]
+    if "queue" in platform:
+        parts.append(platform["queue"])
+    elif "use_red" in platform:
+        parts.append("red" if platform["use_red"] else "droptail")
+    if platform.get("tcp"):
+        parts.append(platform["tcp"]["variant"])
+    for name, value in platform.get("extra") or ():
+        if isinstance(value, list):
+            value = ",".join(str(item) for item in value)
+        parts.append(f"{name}={value}")
+    return " ".join(parts)
 
 
 class ExperimentStore:
@@ -324,7 +304,7 @@ class ExperimentStore:
         from repro.runner.cells import goodput_rate
 
         spec = cell.describe()
-        shape = _cell_shape(spec)
+        shape = _cell_shape(cell)
         cursor = self._db.execute(
             "INSERT INTO cells (experiment_id, key, source, elapsed, spec,"
             " backend, kind, n_flows, seed, gamma, extent, rate_bps,"
@@ -438,45 +418,58 @@ class ExperimentStore:
     def gamma_star(self) -> Tuple[List[str], List[tuple]]:
         """Measured peak-γ per gain-sweep series (the fig06 question).
 
-        Groups packet-backend attack cells by experiment and sweep
-        series (n_flows, extent, rate), computes each cell's gain
-        against the matching baseline (same experiment, n_flows, seed;
-        Eq. 5 with κ=1: ``(1 - ρ/ρ₀)·(1 - γ)``), averages across
-        seeds, and reports the γ with the largest mean gain.
+        Groups packet-backend attack cells by experiment, platform and
+        sweep series (n_flows, extent, rate), computes each cell's gain
+        against the matching baseline (same experiment and platform,
+        seed included; Eq. 5 with κ=1: ``(1 - ρ/ρ₀)·(1 - γ)``),
+        averages across seeds, and reports the γ with the largest mean
+        gain.  The platform is the ``spec`` column's description minus
+        its seed, so curves that differ only in queue, stack or
+        topology stay apart while planner replicas still average.
         """
         rows = self._db.execute(
-            "SELECT c.experiment_id, COALESCE(e.name, '-'), c.n_flows,"
-            " c.seed, c.gamma, c.extent, c.rate_bps, c.goodput_rate"
+            "SELECT c.experiment_id, COALESCE(e.name, '-'), c.spec,"
+            " c.n_flows, c.seed, c.gamma, c.extent, c.rate_bps,"
+            " c.goodput_rate"
             " FROM cells c LEFT JOIN experiments e"
             " ON c.experiment_id = e.experiment_id"
             " WHERE c.backend = 'packet' AND c.kind != '?'"
             " ORDER BY c.cell_id").fetchall()
+        platforms: Dict[str, dict] = {}
         baselines: Dict[tuple, float] = {}
-        for (exp_id, _name, n_flows, seed, gamma, _extent, _rate,
+        samples = []
+        for (exp_id, name, spec, n_flows, seed, gamma, extent, rate_bps,
              rate_bytes) in rows:
+            platform = dict(json.loads(spec).get("platform") or {})
+            platform.pop("seed", None)
+            platform_key = json.dumps(platform, sort_keys=True)
+            platforms[platform_key] = platform
             if gamma is None:
-                baselines[(exp_id, n_flows, seed)] = rate_bytes
+                baselines[(exp_id, platform_key, n_flows, seed)] = rate_bytes
+            elif extent is not None:
+                samples.append((exp_id, name, platform_key, n_flows, seed,
+                                gamma, extent, rate_bps, rate_bytes))
         gains: Dict[tuple, Dict[float, List[float]]] = {}
-        for (exp_id, name, n_flows, seed, gamma, extent, rate_bps,
-             rate_bytes) in rows:
-            if gamma is None or extent is None:
-                continue
-            baseline = baselines.get((exp_id, n_flows, seed))
+        for (exp_id, name, platform_key, n_flows, seed, gamma, extent,
+             rate_bps, rate_bytes) in samples:
+            baseline = baselines.get((exp_id, platform_key, n_flows, seed))
             if not baseline:
                 continue
             degradation = 1.0 - rate_bytes / baseline
-            series_key = (exp_id, name, n_flows, extent, rate_bps)
+            series_key = (exp_id, name, platform_key, n_flows, extent,
+                          rate_bps)
             gains.setdefault(series_key, {}).setdefault(gamma, []).append(
                 degradation * (1.0 - gamma))
-        names = ["experiment", "n_flows", "extent_ms", "rate_mbps",
-                 "gamma_star", "gain", "gammas", "cells"]
+        names = ["experiment", "platform", "n_flows", "extent_ms",
+                 "rate_mbps", "gamma_star", "gain", "gammas", "cells"]
         out = []
-        for (exp_id, name, n_flows, extent, rate_bps), by_gamma in sorted(
-                gains.items()):
+        for (exp_id, name, platform_key, n_flows, extent,
+             rate_bps), by_gamma in sorted(gains.items()):
             means = {g: sum(v) / len(v) for g, v in by_gamma.items()}
             star = max(means, key=lambda g: (means[g], -g))
             out.append((
-                name, n_flows, round(extent * 1e3, 3),
+                name, _platform_label(platforms[platform_key]), n_flows,
+                round(extent * 1e3, 3),
                 None if rate_bps is None else round(rate_bps / 1e6, 3),
                 round(star, 6), round(means[star], 6), len(means),
                 sum(len(v) for v in by_gamma.values()),

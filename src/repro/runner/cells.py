@@ -27,6 +27,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.attack import PulseTrain
+from repro.core.throughput import VictimPopulation
 from repro.sim.convergence import ConvergenceConfig, GoodputConvergenceMonitor
 from repro.sim.tcp import TCPConfig
 from repro.sim.topology import (
@@ -80,6 +81,13 @@ _EXTRA_FIELDS = frozenset(
 @dataclasses.dataclass(frozen=True)
 class PlatformSpec:
     """A serializable description of one measurement environment.
+
+    The one platform type: cells carry it, the builders consume
+    :meth:`to_config`, and the analytics read the contested rate, the
+    victims' minimum RTO and their population from that same config
+    (:attr:`bottleneck_bps`, :attr:`min_rto`, :meth:`victim_population`).
+    :func:`~repro.experiments.base.DumbbellPlatform` and its siblings
+    make specs with the paper's stacks.
 
     Attributes:
         kind: ``"dumbbell"`` (the ns-2-style topology of Figs. 6-10),
@@ -172,6 +180,25 @@ class PlatformSpec:
     def build(self):
         """A freshly built, unstarted network for this spec."""
         return _BUILDERS[self.kind](self.to_config())
+
+    @property
+    def bottleneck_bps(self) -> float:
+        """The contested link's rate, γ's normalizer (Eq. 4)."""
+        return self.to_config().contested_rate_bps()
+
+    @property
+    def min_rto(self) -> float:
+        """The victims' minimum RTO, seconds."""
+        return self.to_config().tcp.min_rto
+
+    def victim_population(self) -> VictimPopulation:
+        """The victim flows as C_ψ (Eq. 11) sees them: RTTs and stack."""
+        config = self.to_config()
+        return VictimPopulation(
+            rtts=config.flow_rtts(),
+            aimd=config.tcp.aimd,
+            delayed_ack=config.tcp.delayed_ack,
+        )
 
     def describe(self) -> dict:
         """A JSON-serializable identity (feeds the cache key)."""

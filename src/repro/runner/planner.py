@@ -41,7 +41,7 @@ from repro.analysis.stats import ci_stable, mean_ci_halfwidth
 from repro.core.attack import PulseTrain
 from repro.core.gain import attack_gain
 from repro.core.throughput import c_psi
-from repro.runner.cells import Cell, goodput_rate
+from repro.runner.cells import Cell, PlatformSpec, goodput_rate
 from repro.runner.runner import ExperimentRunner, get_default_runner
 from repro.sim.convergence import ConvergenceConfig
 from repro.util.env import env_flag
@@ -245,7 +245,7 @@ class PlannedSweep:
 
 
 def run_planned_sweep(
-    platform,
+    platform: PlatformSpec,
     *,
     rate_bps: float,
     extent: float,
@@ -262,7 +262,7 @@ def run_planned_sweep(
 
     The drop-in fast counterpart of
     :func:`repro.experiments.base.run_gain_sweep`: same platform
-    abstraction, same Eq.-(4) period inversion per γ, same paired
+    spec, same Eq.-(4) period inversion per γ, same paired
     same-seed baseline -- but the γ grid grows toward the empirical
     peak, replicas are allocated by CI width, and every cell may end
     its window at convergence.  Measurements are therefore compared as
@@ -304,9 +304,6 @@ def run_planned_sweep(
             )
     lo, hi = float(grid[0]), float(grid[-1])
 
-    base_spec = platform.spec()
-    base_seed = base_spec.seed
-
     def _train(gamma: float) -> PulseTrain:
         period = PulseTrain.period_from_gamma(
             gamma=gamma, rate_bps=rate_bps, extent=extent,
@@ -319,7 +316,7 @@ def run_planned_sweep(
         )
 
     def _cell(gamma: Optional[float], seed_index: int) -> Cell:
-        spec = dataclasses.replace(base_spec, seed=base_seed + seed_index)
+        spec = dataclasses.replace(platform, seed=platform.seed + seed_index)
         return Cell(
             platform=spec, warmup=warmup, window=window,
             train=None if gamma is None else _train(gamma),
@@ -328,7 +325,7 @@ def run_planned_sweep(
 
     def _fluid_cell(gamma: Optional[float]) -> Cell:
         return Cell(
-            platform=base_spec, warmup=warmup, window=window,
+            platform=platform, warmup=warmup, window=window,
             train=None if gamma is None else _train(gamma),
             backend="fluid", fluid_max_step=policy.fluid_max_step,
         )

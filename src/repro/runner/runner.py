@@ -48,8 +48,6 @@ from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs import metrics as _obs_metrics
-from repro.obs.instrument import publish_runner
 from repro.runner.cache import ResultCache, cell_key
 from repro.runner.cells import (
     Cell,
@@ -406,10 +404,6 @@ class ExperimentRunner:
         """Resolve one cell (memo -> disk cache -> execute)."""
         return self.measure_many([cell])[0]
 
-    def measure_goodput(self, cell: Cell) -> float:
-        """Convenience: :meth:`measure` and return the goodput bytes."""
-        return self.measure(cell).goodput_bytes
-
     def measure_many(self, cells: Sequence[Cell]) -> List[CellResult]:
         """Resolve a batch, fanning cache misses out across workers.
 
@@ -455,9 +449,6 @@ class ExperimentRunner:
                     self._absorb_unit(unit, _execute_unit(
                         tuple(cell for _key, cell in unit),
                         self.record_series), results)
-        # Per-batch (never per-cell) telemetry refresh; a no-op without
-        # an active registry.
-        publish_runner(_obs_metrics.active(), self.stats.snapshot())
         return [results[key] for key in keys]
 
     # ------------------------------------------------------------------

@@ -144,24 +144,23 @@ def scenario_from_config(config) -> FluidScenario:
     """Map a platform config dataclass onto the fluid model's inputs.
 
     Accepts either a :class:`~repro.sim.topology.DumbbellConfig` or a
-    :class:`~repro.testbed.dummynet.TestbedConfig`; the two are told
-    apart structurally (only the test-bed config has a ``pipe``) so this
+    :class:`~repro.testbed.dummynet.TestbedConfig`.  RTTs and the
+    service rate come from the accessors every platform config shares
+    (``flow_rtts()``, ``contested_rate_bps()``); the buffer and the
+    early-loss flag, which only this model reads, are told apart
+    structurally (only the test-bed config has a ``pipe``) so this
     low-level module does not import the test-bed layer.
     """
     if hasattr(config, "pipe"):  # TestbedConfig
-        rtts = tuple(float(config.rtt()) for _ in range(config.n_flows))
-        service_bps = config.pipe.bandwidth_bps
         buffer_bytes = config.pipe.queue_bytes
         early_loss = config.use_red
     else:  # DumbbellConfig
-        rtts = tuple(float(r) for r in config.flow_rtts())
-        service_bps = config.bottleneck_rate_bps
         buffer_bytes = config.buffer_bytes
         factory_name = getattr(config.queue_factory, "__name__", "")
         early_loss = factory_name != "make_droptail_queue"
     return FluidScenario(
-        rtts=rtts,
-        service_bps=service_bps,
+        rtts=tuple(float(r) for r in config.flow_rtts()),
+        service_bps=config.contested_rate_bps(),
         buffer_bytes=buffer_bytes,
         loss_threshold_bytes=(0.8 if early_loss else 1.0) * buffer_bytes,
         tcp=config.tcp,

@@ -426,6 +426,10 @@ class DumbbellConfig:
             return np.array([(self.rtt_min + self.rtt_max) / 2.0])
         return np.linspace(self.rtt_min, self.rtt_max, self.n_flows)
 
+    def contested_rate_bps(self) -> float:
+        """The contested link's rate: the γ normalizer."""
+        return self.bottleneck_rate_bps
+
 
 class DumbbellNetwork(Network):
     """The Fig. 5 dumbbell: a :class:`Network` that can attach hosts
@@ -685,10 +689,14 @@ class ParkingLotConfig:
             return tuple(float(r) for r in self.segment_rates_bps)
         return (float(self.bottleneck_rate_bps),) * self.n_segments
 
-    def attacked_rate_bps(self) -> float:
+    def contested_rate_bps(self) -> float:
         """The tightest attacked segment's rate: the γ normalizer."""
         rates = self.segment_rates()
         return min(rates[j] for j in self.attack_segments)
+
+    def flow_rtts(self) -> np.ndarray:
+        """The victim (long) flows' RTTs: ``draw_rtts()[0]``."""
+        return self.draw_rtts()[0]
 
     def draw_rtts(self) -> Tuple[np.ndarray, np.ndarray]:
         """Numpy-drawn flow RTTs: ``(long[L], cross[K, X])``, seconds.
@@ -816,7 +824,7 @@ def build_parking_lot(config: Optional[ParkingLotConfig] = None) -> Network:
     labels["attacker"] = attacker_link
     return Network(
         cfg, topo, rng, senders=senders, receivers=receivers,
-        rtts=long_rtts,
+        rtts=cfg.flow_rtts(),
         bottleneck=segments[tightest][0],
         reverse_bottleneck=segments[tightest][1],
         attacker_node=attacker, attack_sink_node=attack_sink,

@@ -113,6 +113,14 @@ class TestbedConfig:
         """Nominal flow RTT: the pipe delay both ways plus LAN hops."""
         return 2.0 * (self.pipe.delay + 2.0 * self.lan_delay)
 
+    def flow_rtts(self) -> np.ndarray:
+        """Per-flow RTTs: every flow shares the nominal :meth:`rtt`."""
+        return np.full(self.n_flows, self.rtt())
+
+    def contested_rate_bps(self) -> float:
+        """The pipe's rate: the γ normalizer."""
+        return self.pipe.bandwidth_bps
+
 
 @gc_paused()
 def build_testbed(config: Optional[TestbedConfig] = None) -> Network:
@@ -163,7 +171,7 @@ def build_testbed(config: Optional[TestbedConfig] = None) -> Network:
         topo.sim, [(user, victim) for user in users], cfg.tcp)
     return Network(
         cfg, topo, rng, senders=senders, receivers=receivers,
-        rtts=np.full(m, cfg.rtt()),
+        rtts=cfg.flow_rtts(),
         bottleneck=pipe_link, reverse_bottleneck=pipe_return,
         attacker_node=attacker, attack_sink_node=victim,
         labels={"pipe": pipe_link, "pipe_reverse": pipe_return,

@@ -1,9 +1,12 @@
 """Experiment machinery: platforms, sweeps, renderers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.classify import GainRegime
+from repro.core.throughput import c_psi
 from repro.experiments.base import (
     DumbbellPlatform,
     TestbedPlatform,
@@ -13,6 +16,8 @@ from repro.experiments.base import (
     run_gain_sweep,
 )
 from repro.experiments.multi_bottleneck import ParkingLotPlatform
+from repro.runner import Cell, ExperimentRunner
+from repro.sim.tcp import AIMDParams
 from repro.sim.topology import ParkingLotConfig
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
@@ -63,7 +68,7 @@ class TestPlatforms:
             long_flows=5, seed=3, n_segments=2, cross_flows=1,
             segment_rates_bps=(mbps(20), mbps(12)),
         )
-        assert platform.bottleneck_bps == config.attacked_rate_bps()
+        assert platform.bottleneck_bps == config.contested_rate_bps()
         victims = platform.victim_population()
         assert np.array_equal(victims.rtts, config.draw_rtts()[0])
         assert victims.delayed_ack == 2
@@ -75,16 +80,52 @@ class TestPlatforms:
         with pytest.raises(ValidationError, match="long_flows"):
             ParkingLotPlatform(n_flows=8, long_flows=4)
 
-    def test_measure_goodput_baseline_positive(self):
-        platform = DumbbellPlatform(n_flows=3)
-        goodput = platform.measure_goodput(None, warmup=2.0, window=4.0)
-        assert goodput > 0
+    def test_baseline_goodput_positive(self):
+        cell = Cell(platform=DumbbellPlatform(n_flows=3), warmup=2.0,
+                    window=4.0)
+        assert ExperimentRunner().measure(cell).goodput_bytes > 0
 
     def test_measurement_is_deterministic(self):
-        platform = DumbbellPlatform(n_flows=3, seed=5)
-        first = platform.measure_goodput(None, warmup=2.0, window=3.0)
-        second = platform.measure_goodput(None, warmup=2.0, window=3.0)
+        cell = Cell(platform=DumbbellPlatform(n_flows=3, seed=5),
+                    warmup=2.0, window=3.0)
+        # Two runners: the second cannot answer from the first's memo.
+        first = ExperimentRunner().measure(cell)
+        second = ExperimentRunner().measure(cell)
         assert first == second
+
+    def test_victim_population_carries_the_stack_aimd(self):
+        """C_ψ (Eq. 11) sees the victims' own AIMD(a, b), not (1, 0.5)."""
+        friendly = AIMDParams.tcp_friendly(0.875)
+        tcp = dataclasses.replace(DumbbellPlatform().tcp, aimd=friendly)
+        platform = DumbbellPlatform(n_flows=5, tcp=tcp)
+        victims = platform.victim_population()
+        assert victims.aimd == friendly
+        assert victims.delayed_ack == 2
+        standard = DumbbellPlatform(n_flows=5).victim_population()
+        args = dict(extent=ms(100), rate_bps=mbps(30),
+                    bottleneck_bps=platform.bottleneck_bps)
+        assert c_psi(standard, **args) == pytest.approx(0.311, abs=1e-3)
+        assert c_psi(victims, **args) == pytest.approx(0.486, abs=1e-3)
+
+
+class TestSpecAgreesWithBuiltNetwork:
+    """What the analytics read from a spec is what its network runs."""
+
+    @pytest.mark.parametrize("spec", [
+        DumbbellPlatform(n_flows=4, seed=2),
+        TestbedPlatform(n_flows=3, seed=2),
+        ParkingLotPlatform(n_flows=3, seed=2, n_segments=2, cross_flows=1,
+                           segment_rates_bps=(mbps(20), mbps(12)),
+                           attack_segments=(0, 1)),
+    ], ids=["dumbbell", "testbed", "parking_lot"])
+    def test_rate_rtts_and_min_rto(self, spec):
+        net = spec.build()
+        assert net.bottleneck.rate_bps == spec.bottleneck_bps
+        rtts = spec.victim_population().rtts
+        assert len(net.flow_rtts()) == len(rtts) == spec.n_flows
+        assert list(net.flow_rtts()) == list(rtts)
+        assert {sender.rto_estimator.min_rto
+                for sender in net.senders} == {spec.min_rto}
 
 
 class TestGainSweep:

@@ -136,23 +136,3 @@ class TestSnapshotMethods:
         assert snap["timeouts"] == float(sender.timeouts)
         assert snap["goodput_bytes"] == sender.goodput_bytes()
         assert snap["cwnd"] == sender.cwnd
-
-
-class TestRunnerTelemetry:
-    def test_measure_many_publishes_runner_gauges(self):
-        from repro.runner import Cell, ExperimentRunner, PlatformSpec
-
-        runner = ExperimentRunner(jobs=1, cache_dir=None)
-        cell = Cell(
-            platform=PlatformSpec(kind="dumbbell", n_flows=1, seed=3),
-            warmup=0.5, window=0.5,
-        )
-        with metrics.collecting() as registry:
-            runner.measure_many([cell])
-            runner.measure_many([cell])  # second pass hits the memo
-        snap = registry.snapshot()
-        assert snap["runner.cells"] == 2.0
-        assert snap["runner.executed"] == 1.0
-        assert snap["runner.memo_hits"] == 1.0
-        assert snap["runner.hit_ratio"] == 0.5
-        assert snap["runner.seed_fanout"] == 1.0

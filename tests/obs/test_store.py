@@ -153,6 +153,32 @@ class TestRecordCell:
         assert rate_bps == pytest.approx(mbps(30))
         assert (n_flows, seed) == (2, 7)
 
+    def test_parking_lot_gamma_uses_the_tightest_attacked_segment(
+            self, tmp_path, executed_cell):
+        """γ normalizes by the spec's own contested rate, ``extra``
+        included: 20 Mb/s here, not the 15 Mb/s config default."""
+        _, result, _ = executed_cell
+        from repro.runner import Cell, PlatformSpec
+
+        # Attack on segment 0 (the default span), the 20 Mb/s one.
+        platform = PlatformSpec(
+            kind="parking_lot", n_flows=3, seed=1,
+            extra=(("cross_flows", 1), ("n_segments", 2),
+                   ("segment_rates_bps", (mbps(20), mbps(12)))),
+        )
+        attack = Cell(
+            platform=platform, warmup=1.0, window=2.0,
+            train=PulseTrain.from_gamma(
+                gamma=0.5, rate_bps=mbps(30), extent=ms(100),
+                bottleneck_bps=mbps(20), n_pulses=3),
+        )
+        store = make_store(tmp_path)
+        store.record_cell("cc" * 32, attack, result, source="executed")
+        (gamma, kind), = store.query("SELECT gamma, kind FROM cells")[1]
+        assert kind == "parking_lot"
+        assert gamma == pytest.approx(0.5)
+        assert platform.bottleneck_bps == mbps(20)
+
     def test_baseline_rows_leave_gamma_null(self, tmp_path, executed_cell):
         cell, result, _ = executed_cell  # no train
         store = make_store(tmp_path)
@@ -379,6 +405,49 @@ class TestCannedQueries:
         assert row["gain"] == pytest.approx(0.24)
         assert row["gammas"] == 2
         assert row["cells"] == 4
+
+    def test_gamma_star_keeps_curves_that_differ_only_in_platform(
+            self, tmp_path):
+        """RED and drop-tail sweeps with equal flows, seed and attack
+        are two curves, each gained against its own baseline."""
+        from repro.runner import Cell, CellResult, PlatformSpec
+
+        store = make_store(tmp_path)
+        window = 10.0
+        # queue -> (baseline rate, {gamma: attacked rate}), bytes/s.
+        curves = {
+            "red": (1000.0, {0.3: 400.0, 0.5: 700.0, 0.7: 800.0}),
+            "droptail": (2000.0, {0.3: 1800.0, 0.5: 1600.0, 0.7: 200.0}),
+        }
+        for queue, (baseline, attacked) in curves.items():
+            platform = PlatformSpec(kind="dumbbell", n_flows=5, seed=500,
+                                    queue=queue)
+            bottleneck = platform.to_config().bottleneck_rate_bps
+            cells = [(Cell(platform=platform, warmup=1.0, window=window),
+                      baseline)]
+            cells += [
+                (Cell(platform=platform, warmup=1.0, window=window,
+                      train=PulseTrain.from_gamma(
+                          gamma=gamma, rate_bps=mbps(30), extent=ms(100),
+                          bottleneck_bps=bottleneck, n_pulses=4)),
+                 rate)
+                for gamma, rate in attacked.items()
+            ]
+            for index, (cell, rate) in enumerate(cells):
+                store.record_cell(f"{queue}{index}", cell,
+                                  CellResult(goodput_bytes=rate * window),
+                                  source="executed")
+        names, rows = store.gamma_star()
+        assert len(rows) == 2
+        by_platform = {row[names.index("platform")]: dict(zip(names, row))
+                       for row in rows}
+        red = by_platform["dumbbell red"]
+        droptail = by_platform["dumbbell droptail"]
+        assert red["gamma_star"] == pytest.approx(0.3)
+        assert red["gain"] == pytest.approx(0.6 * 0.7)
+        assert droptail["gamma_star"] == pytest.approx(0.7)
+        assert droptail["gain"] == pytest.approx(0.9 * 0.3)
+        assert red["cells"] == droptail["cells"] == 3
 
     def test_gamma_star_ignores_fluid_cells(self, tmp_path):
         store = make_store(tmp_path)

@@ -439,7 +439,7 @@ class TestParkingLotConfig:
             attack_segments=(0, 1),
         )
         assert config.segment_rates() == (mbps(10), mbps(20))
-        assert config.attacked_rate_bps() == mbps(10)
+        assert config.contested_rate_bps() == mbps(10)
 
     def test_rtt_draws_are_seeded(self):
         config = ParkingLotConfig(seed=9)

@@ -83,7 +83,8 @@ class TestMain:
         assert (tmp_path / "fig04.txt").exists()
 
     def test_full_sets_env(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
+        # Set (not deleted) so teardown removes the "1" main() writes.
+        monkeypatch.setenv("REPRO_FULL", "0")
         import os
         main(["fig04", "--full"])
         assert os.environ.get("REPRO_FULL") == "1"
@@ -401,7 +402,9 @@ class TestFastAndJobsFlags:
     def test_fast_sets_env(self, monkeypatch, capsys):
         import os
 
-        monkeypatch.delenv("REPRO_FAST", raising=False)
+        # Set (not deleted) so teardown removes the "1" main() writes;
+        # a leaked REPRO_FAST would put every later test in fast mode.
+        monkeypatch.setenv("REPRO_FAST", "0")
         # fig01 is a cwnd trace -- unaffected by the planner, so this
         # stays cheap while still exercising the env hand-off.
         assert main(["fig01", "--fast", "--no-cache"]) == 0
@@ -468,6 +471,19 @@ class TestDryRunFlag:
                       ["--store", str(tmp_path / "s.sqlite"), "--record"]):
             assert main(["fig01", "--dry-run", *extra]) == 2
             assert "cannot be combined" in capsys.readouterr().err
+
+
+    def test_rejects_fast_mode(self, capsys, monkeypatch):
+        """The planner picks cells from measured gains; a dry run only
+        has placeholders, so its plan would not be the real run's."""
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        assert main(["fig06", "--dry-run", "--fast", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "--fast" in err and "REPRO_FAST" in err
+        assert "REPRO_FAST" not in os.environ  # rejected before it is set
+        monkeypatch.setenv("REPRO_FAST", "1")
+        assert main(["fig06", "--dry-run", "--no-cache"]) == 2
+        assert "--dry-run cannot plan fast mode" in capsys.readouterr().err
 
 
 class TestStartupImports:
