@@ -13,9 +13,9 @@ Examples::
 ``--full`` sets ``REPRO_FULL=1`` for the invocation (paper-scale
 sweeps); ``--fast`` sets ``REPRO_FAST=1``, routing gain sweeps through
 the adaptive experiment planner (a fluid-model pre-pass that localizes
-γ* in milliseconds before any packet cell runs, coarse-to-fine γ
-refinement, CI-driven seed allocation, convergence early-exit --
-approximate but several times faster, under distinct cache keys);
+γ* in milliseconds before three packet cells confirm it, CI-driven seed
+allocation, convergence early-exit -- approximate but several times
+faster, under distinct cache keys);
 ``-o DIR`` additionally writes each rendering to ``DIR/<name>.txt``.
 
 ``--jobs N`` fans independent measurement cells out over N worker
@@ -151,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive experiment planner for gain sweeps (sets "
              "REPRO_FAST=1): a fluid-model pre-pass localizes gamma* in "
              "milliseconds, then packet-level cells confirm only the "
-             "peak neighborhood, with coarse-to-fine gamma refinement, "
-             "CI-driven seed allocation, and in-sim convergence "
-             "early-exit; approximate results under distinct cache keys",
+             "peak neighborhood, with CI-driven seed allocation and "
+             "in-sim convergence early-exit; approximate results under "
+             "distinct cache keys",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -184,10 +184,11 @@ def run_aqm_hardening(
     """Sweep the same attack against RED and CHOKe bottlenecks.
 
     With *planner* set (or ``REPRO_FAST=1``) the two sweeps run through
-    the adaptive planner -- convergence early-exit plus CI-driven seed
-    allocation -- but on a *fixed shared grid* (refinement disabled):
-    :meth:`AQMHardeningResult.mean_gain_reduction` differences the RED
-    and CHOKe curves pointwise, which requires matched γ arrays.
+    the adaptive planner.  :meth:`AQMHardeningResult.mean_gain_reduction`
+    differences the RED and CHOKe curves pointwise, which requires
+    matched γ arrays; the fluid model maps both disciplines to one
+    scenario, so the pre-pass aims both packet sweeps at the same
+    confirm grid.
     """
     from repro.runner.planner import active_policy, run_planned_sweep
 
@@ -198,14 +199,13 @@ def run_aqm_hardening(
     red_platform = DumbbellPlatform(n_flows=n_flows, queue="red", seed=600)
     choke_platform = DumbbellPlatform(n_flows=n_flows, queue="choke", seed=600)
     if planner is not None:
-        fixed = dataclasses.replace(planner, max_rounds=0)
         red_sweep = run_planned_sweep(
             red_platform, rate_bps=rate_bps, extent=extent, gammas=gammas,
-            label="RED [fast]", policy=fixed,
+            label="RED [fast]", policy=planner,
         )
         choke_sweep = run_planned_sweep(
             choke_platform, rate_bps=rate_bps, extent=extent, gammas=gammas,
-            label="CHOKe [fast]", policy=fixed,
+            label="CHOKe [fast]", policy=planner,
         )
         return AQMHardeningResult(red=red_sweep.curve, choke=choke_sweep.curve)
     red, choke = run_gain_sweeps([

@@ -14,9 +14,9 @@ peak.
 
 Fast mode: with an active :class:`~repro.runner.planner.PlannerPolicy`
 (``--fast`` / ``REPRO_FAST=1`` / the ``planner=`` argument) every series
-resolves through the adaptive planner instead of the dense grid --
-coarse-to-fine γ refinement around the peak, CI-driven seed allocation,
-and convergence early-exit.  The rendered figure then carries a
+resolves through the adaptive planner instead of the dense grid -- a
+fluid pre-pass that aims three packet γ at the peak, CI-driven seed
+allocation, and convergence early-exit.  The rendered figure then carries a
 per-series planner report alongside the usual maximization points.
 """
 

@@ -54,7 +54,6 @@ class _Row:
         self.warm_starts = _runner_field(record, "warm_starts")
         self.warmup_seconds_saved = _runner_field(
             record, "warmup_seconds_saved")
-        self.planner_rounds = _runner_field(record, "planner_rounds")
         self.planner_cells_saved = _runner_field(
             record, "planner_cells_saved")
         self.planner_seeds_saved = _runner_field(
@@ -170,10 +169,9 @@ def summarize_records(records: Iterable[dict], *, sort: str = "time",
 
     planner_cells = _total("planner_cells_saved")
     planner_seeds = _total("planner_seeds_saved")
-    if planner_cells or planner_seeds or _total("planner_rounds"):
+    if planner_cells or planner_seeds:
         footer += (
-            f"; planner: {_total('planner_rounds'):.0f} refinement "
-            f"rounds saved {planner_cells:.0f} grid cells + "
+            f"; planner saved {planner_cells:.0f} grid cells + "
             f"{planner_seeds:.0f} seeds"
         )
     truncated = _total("truncated_cells")

@@ -141,6 +141,14 @@ class PlatformSpec:
                         f"ParkingLotConfig field; expected one of "
                         f"{sorted(_EXTRA_FIELDS)}"
                     )
+        # A bool is an int to Python, and a float or None seed would key
+        # the cache while the builders draw different jitter per process.
+        for name in ("n_flows", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(
+                    f"{name} must be an int, got {value!r}"
+                )
         if self.n_flows < 1:
             raise ValidationError(f"n_flows must be >= 1, got {self.n_flows}")
 

@@ -1,4 +1,4 @@
-"""Adaptive experiment planner: coarse-to-fine γ search with CI stopping.
+"""Adaptive experiment planner: fluid γ* pre-pass with CI stopping.
 
 The gain figures only need ``G(γ) = Γ·(1−γ)^κ`` resolved accurately
 near its peak γ* (Propositions 2-4), yet a dense fixed grid spends the
@@ -7,9 +7,12 @@ grid with three stacked economies, all layered on the existing
 :class:`~repro.runner.runner.ExperimentRunner` (so memoization, disk
 caching, warm-start forking, and parallel fan-out keep working):
 
-* **Coarse-to-fine refinement** -- simulate a coarse γ grid, then
-  recursively subdivide only the bracket around the empirical peak
-  until γ* is localized to :attr:`PlannerPolicy.gamma_resolution`.
+* **Fluid pre-pass** -- localize γ* on the fluid (ODE) backend, at
+  milliseconds per cell, then confirm it at packet level on
+  :attr:`PlannerPolicy.fluid_confirm_points` γ spaced
+  :attr:`PlannerPolicy.gamma_resolution` apart around the fluid peak.
+  A span already too narrow to shrink is sampled on the coarse grid
+  directly.
 * **Sequential seed allocation** -- each γ starts at
   :attr:`PlannerPolicy.min_seeds` replicas and gains more only while
   the gain estimate's t-based CI half-width
@@ -21,6 +24,9 @@ caching, warm-start forking, and parallel fan-out keep working):
   policy's :class:`~repro.sim.convergence.ConvergenceConfig`, so a
   simulation ends as soon as its windowed goodput rate stabilizes and
   measurements are compared as *rates* over the truncated span.
+
+The pre-pass needs a fluid model of the platform, so the planner plans
+dumbbell and test-bed sweeps; the fluid backend refuses parking lots.
 
 Everything here is strictly opt-in: the fast path activates only
 through an explicit :class:`PlannerPolicy`, the ``--fast`` CLI flag, or
@@ -58,13 +64,12 @@ class PlannerPolicy:
     """How aggressively the planner trades coverage for speed.
 
     Attributes:
-        coarse_points: γ samples in the initial grid (>= 3, so the peak
-            always has a refinable bracket).
-        refine_points: new γ samples inserted into the peak bracket per
-            refinement round.
-        max_rounds: refinement rounds after the coarse pass.
-        gamma_resolution: stop refining once the peak's bracket
-            neighbors are within this distance.
+        coarse_points: γ samples in the default grid (>= 3).  The grid
+            sets the sweep span, and is the packet grid itself when the
+            span is too narrow for the pre-pass.
+        gamma_resolution: spacing of the packet confirm grid and of the
+            dense grid that :attr:`PlannedSweep.cells_saved` counts
+            against; spans of at most two steps skip the pre-pass.
         min_seeds: replicas every sampled γ starts with.
         max_seeds: replica budget per γ (sequential allocation stops
             here regardless of CI width).
@@ -77,9 +82,6 @@ class PlannerPolicy:
             the reported peak always carries a finite CI.
         early_exit: convergence early-exit config stamped on every
             planner cell, or ``None`` to always run full windows.
-        fluid_prepass: localize γ* on the fluid (ODE) backend first --
-            milliseconds per cell -- and aim the packet-level coarse
-            grid at just the neighborhood of the fluid peak.
         fluid_grid_points: resolution of the fluid localization grid --
             the pre-pass localizes γ* as finely as an N-point grid over
             the sweep span, but samples it in two stages (every other
@@ -87,7 +89,7 @@ class PlannerPolicy:
             only integrates about half the grid.
         fluid_confirm_points: packet-level γ samples (spaced
             :attr:`gamma_resolution` apart, centered on the fluid peak)
-            that confirm the peak when the pre-pass ran.
+            that confirm the peak.
         fluid_max_step: integration step cap for pre-pass fluid cells.
             Coarser than the fluid backend's full-fidelity default: the
             pre-pass only needs the γ landscape's shape, and the packet
@@ -95,8 +97,6 @@ class PlannerPolicy:
     """
 
     coarse_points: int = 5
-    refine_points: int = 2
-    max_rounds: int = 3
     gamma_resolution: float = 0.05
     min_seeds: int = 1
     max_seeds: int = 3
@@ -105,7 +105,6 @@ class PlannerPolicy:
     gain_floor: float = 0.1
     confirm_peak_seeds: int = 2
     early_exit: Optional[ConvergenceConfig] = ConvergenceConfig()
-    fluid_prepass: bool = False
     fluid_grid_points: int = 17
     fluid_confirm_points: int = 3
     fluid_max_step: float = 0.05
@@ -114,14 +113,6 @@ class PlannerPolicy:
         if self.coarse_points < 3:
             raise ValidationError(
                 f"coarse_points must be >= 3, got {self.coarse_points}"
-            )
-        if self.refine_points < 1:
-            raise ValidationError(
-                f"refine_points must be >= 1, got {self.refine_points}"
-            )
-        if self.max_rounds < 0:
-            raise ValidationError(
-                f"max_rounds must be >= 0, got {self.max_rounds}"
             )
         check_positive("gamma_resolution", self.gamma_resolution)
         if self.min_seeds < 1:
@@ -161,7 +152,7 @@ class PlannerPolicy:
 
 
 #: The policy ``--fast`` / ``REPRO_FAST=1`` selects.
-FAST_POLICY = PlannerPolicy(fluid_prepass=True)
+FAST_POLICY = PlannerPolicy()
 
 
 def fast_mode() -> bool:
@@ -173,8 +164,7 @@ def active_policy() -> Optional[PlannerPolicy]:
     """The environment-selected policy: :data:`FAST_POLICY` or ``None``.
 
     Figure drivers call this when no explicit policy is passed, so the
-    planner stays invisible unless the user opted in.  The
-    planner-only path is ``PlannerPolicy(fluid_prepass=False)``.
+    planner stays invisible unless the user opted in.
     """
     return FAST_POLICY if fast_mode() else None
 
@@ -201,7 +191,6 @@ class PlannedSweep:
         gamma_star: the empirical peak γ.
         gain_at_peak / ci_at_peak / seeds_at_peak: the peak's gain
             estimate, its CI half-width, and how many replicas back it.
-        rounds: refinement rounds actually run.
         gammas_sampled: distinct γ simulated.
         cells_saved: γ samples a dense grid at
             :attr:`PlannerPolicy.gamma_resolution` would have needed but
@@ -219,7 +208,6 @@ class PlannedSweep:
     gain_at_peak: float
     ci_at_peak: float
     seeds_at_peak: int
-    rounds: int
     gammas_sampled: int
     cells_saved: int
     seeds_saved: int
@@ -232,7 +220,7 @@ class PlannedSweep:
         line = (
             f"planner[{self.curve.label}]: gamma*={self.gamma_star:.3f} "
             f"G={self.gain_at_peak:.3f} (CI +-{ci}, "
-            f"{self.seeds_at_peak} seeds); {self.rounds} refinement rounds, "
+            f"{self.seeds_at_peak} seeds); "
             f"{self.gammas_sampled} gammas sampled, {self.cells_saved} grid "
             f"cells + {self.seeds_saved} seeds saved"
         )
@@ -263,13 +251,13 @@ def run_planned_sweep(
     The drop-in fast counterpart of
     :func:`repro.experiments.base.run_gain_sweep`: same platform
     spec, same Eq.-(4) period inversion per γ, same paired
-    same-seed baseline -- but the γ grid grows toward the empirical
+    same-seed baseline -- but the packet grid is aimed at the fluid
     peak, replicas are allocated by CI width, and every cell may end
     its window at convergence.  Measurements are therefore compared as
     goodput *rates* (:func:`repro.runner.cells.goodput_rate`).
 
-    *gammas* overrides the coarse grid (>= 3 ascending values);
-    refinement still operates inside its span.
+    *gammas* overrides the coarse grid (>= 3 distinct values); the
+    fluid and confirm grids stay inside its span.
     """
     # Imported late: experiments.base imports repro.runner at module
     # load, so a top-level import here would be circular.
@@ -297,6 +285,12 @@ def run_planned_sweep(
         if grid.size < 3:
             raise ValidationError(
                 f"the planner needs >= 3 coarse gammas, got {grid.size}"
+            )
+        repeated = grid[1:][np.diff(grid) == 0.0]
+        if repeated.size:
+            raise ValidationError(
+                f"the planner's gammas must be distinct; {float(repeated[0])} "
+                f"repeats"
             )
         if grid[-1] > c_attack + 1e-12:
             raise ValidationError(
@@ -373,15 +367,14 @@ def run_planned_sweep(
     fluid_cells = 0
     # The epsilon keeps float noise (0.4 - 0.3 > 0.1) from triggering a
     # pre-pass on a grid already too narrow to shrink.
-    if (policy.fluid_prepass
-            and hi - lo > 2.0 * policy.gamma_resolution + 1e-9):
+    if hi - lo > 2.0 * policy.gamma_resolution + 1e-9:
         fluid_gamma_star, fluid_cells = _fluid_localize()
         # Re-aim the packet-level coarse grid at the fluid peak's
         # neighborhood: confirm points spaced one resolution step apart,
-        # clamped so the whole grid stays inside [lo, hi].  Everything
-        # downstream (refinement, seed allocation, peak confirmation)
-        # operates on this narrow grid unchanged; the dense-grid savings
-        # baseline keeps the original [lo, hi] span.
+        # clamped so the whole grid stays inside [lo, hi].  Seed
+        # allocation and peak confirmation operate on this narrow grid;
+        # the dense-grid savings baseline keeps the original [lo, hi]
+        # span.
         half_span = (policy.fluid_confirm_points - 1) / 2.0
         center = min(max(fluid_gamma_star,
                          lo + half_span * policy.gamma_resolution),
@@ -454,28 +447,8 @@ def run_planned_sweep(
 
     _settle([float(g) for g in grid])
 
-    rounds = 0
-    while rounds < policy.max_rounds:
-        sampled = sorted(gains)
-        peak_index = max(range(len(sampled)),
-                         key=lambda i: _mean_gain(sampled[i]))
-        left = sampled[max(peak_index - 1, 0)]
-        right = sampled[min(peak_index + 1, len(sampled) - 1)]
-        peak = sampled[peak_index]
-        if max(peak - left, right - peak) <= policy.gamma_resolution + 1e-9:
-            break
-        interior = np.linspace(left, right, policy.refine_points + 2)[1:-1]
-        fresh = [
-            float(g) for g in interior
-            if min(abs(g - s) for s in sampled) > policy.gamma_resolution / 4
-        ]
-        if not fresh:
-            break
-        rounds += 1
-        _settle(fresh)
-
     # Confirm the peak with enough replicas for a finite, stable CI (the
-    # argmax can move as replicas refine the estimates, so re-check).
+    # argmax can move as replicas sharpen the estimates, so re-check).
     confirm = min(max(policy.confirm_peak_seeds, policy.min_seeds),
                   policy.max_seeds)
     while True:
@@ -496,7 +469,6 @@ def run_planned_sweep(
     cells_saved = max(0, dense_cells - len(sampled))
     seeds_saved = sum(policy.max_seeds - len(v) for v in gains.values())
     stats = runner.stats
-    stats.planner_rounds += rounds
     stats.planner_cells_saved += cells_saved
     stats.planner_seeds_saved += seeds_saved
 
@@ -542,7 +514,6 @@ def run_planned_sweep(
         gain_at_peak=_mean_gain(peak),
         ci_at_peak=mean_ci_halfwidth(gains[peak], policy.confidence),
         seeds_at_peak=len(gains[peak]),
-        rounds=rounds,
         gammas_sampled=len(sampled),
         cells_saved=cells_saved,
         seeds_saved=seeds_saved,

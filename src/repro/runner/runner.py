@@ -115,8 +115,6 @@ class RunnerStats:
     warmup_sims: int = 0
     #: simulated warm-up seconds avoided by forking.
     warmup_seconds_saved: float = 0.0
-    #: adaptive-planner refinement rounds run (repro.runner.planner).
-    planner_rounds: int = 0
     #: dense-grid cells the planner never had to simulate.
     planner_cells_saved: int = 0
     #: seed replicas the planner's CI stopping left unspent.
@@ -211,12 +209,9 @@ class RunnerStats:
                 f"; {delta['warm_starts']} warm starts saved "
                 f"{delta['warmup_seconds_saved']:.0f}s of simulated warm-up"
             )
-        if delta["planner_rounds"] or delta["planner_seeds_saved"] or (
-            delta["planner_cells_saved"]
-        ):
+        if delta["planner_cells_saved"] or delta["planner_seeds_saved"]:
             line += (
-                f"; planner: {delta['planner_rounds']} refinement rounds, "
-                f"{delta['planner_cells_saved']} grid cells + "
+                f"; planner: {delta['planner_cells_saved']} grid cells + "
                 f"{delta['planner_seeds_saved']} seeds saved"
             )
         if delta["truncated_cells"]:
@@ -238,8 +233,8 @@ class RunnerStats:
 #: subtracts.  The names are the snapshot keys the store and benchmarks read.
 _COUNTERS = ("executed", "cache_hits", "memo_hits", "executed_seconds",
              "warm_starts", "warmup_sims", "warmup_seconds_saved",
-             "planner_rounds", "planner_cells_saved", "planner_seeds_saved",
-             "truncated_cells", "truncated_sim_seconds", "fluid_cells")
+             "planner_cells_saved", "planner_seeds_saved", "truncated_cells",
+             "truncated_sim_seconds", "fluid_cells")
 
 #: A checkpoint mark taken before any work (the epoch baseline).
 _ZERO_MARK = (0,) * len(_COUNTERS)

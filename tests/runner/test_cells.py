@@ -37,6 +37,22 @@ class TestPlatformSpec:
         with pytest.raises(ValidationError, match="n_flows"):
             PlatformSpec(kind="dumbbell", n_flows=0, seed=1)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("dumbbell", "seed", None),
+        ("dumbbell", "n_flows", 1.5),
+        ("dumbbell", "n_flows", True),
+        ("dumbbell", "seed", True),
+        ("testbed", "seed", 2.5),
+        ("parking_lot", "seed", None),
+    ])
+    def test_rejects_non_int_seed_and_flow_count(self, kind, field, value):
+        # A seed of None keys the cache while each process draws its own
+        # jitter; floats and bools fail late or run as the wrong count.
+        fields = dict(kind=kind, n_flows=3, seed=1)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=field):
+            PlatformSpec(**fields)
+
     def test_dumbbell_config_carries_spec_fields(self):
         tcp = TCPConfig(variant=TCPVariant.SACK)
         spec = PlatformSpec(kind="dumbbell", n_flows=7, seed=3,

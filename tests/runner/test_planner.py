@@ -1,9 +1,10 @@
-"""Adaptive planner: policy validation, refinement, seed allocation.
+"""Adaptive planner: policy validation, fluid pre-pass, seed allocation.
 
-The orchestration logic (coarse-to-fine refinement, CI-driven replica
-allocation, savings accounting) is exercised against a stub runner
-whose "measurements" come from a synthetic gain curve with a known
-peak -- fast and exact control over the shape the planner explores.
+The orchestration logic (fluid localization and packet confirmation,
+CI-driven replica allocation, savings accounting) is exercised against
+a stub runner whose "measurements" come from a synthetic gain curve
+with a known peak -- fast and exact control over the shape the planner
+explores.
 A small real-simulator integration at the end checks the pieces the
 stub cannot: distinct cache identities for planner cells, convergence
 truncation, and runner counters.
@@ -67,8 +68,7 @@ class StubRunner:
 
 def policy(**overrides):
     base = dict(
-        coarse_points=5, refine_points=2, max_rounds=3,
-        gamma_resolution=0.05, min_seeds=1, max_seeds=1,
+        coarse_points=5, gamma_resolution=0.05, min_seeds=1, max_seeds=1,
         confirm_peak_seeds=1, early_exit=None,
     )
     base.update(overrides)
@@ -89,8 +89,6 @@ def sweep(runner, planner_policy, **kwargs):
 class TestPolicy:
     @pytest.mark.parametrize("kwargs", [
         dict(coarse_points=2),
-        dict(refine_points=0),
-        dict(max_rounds=-1),
         dict(gamma_resolution=0.0),
         dict(min_seeds=0),
         dict(min_seeds=4, max_seeds=3),
@@ -110,41 +108,25 @@ class TestPolicy:
         monkeypatch.setenv("REPRO_FAST", "1")
         assert fast_mode()
         assert active_policy() is FAST_POLICY
+        assert FAST_POLICY == PlannerPolicy()
         monkeypatch.setenv("REPRO_FAST", "0")
         assert not fast_mode()
 
 
 class TestRefinement:
-    def test_localizes_the_synthetic_peak(self):
+    def test_custom_grid_bounds_the_fluid_and_confirm_grids(self):
         runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(max_rounds=6))
-        # The bracket around the argmax shrank to the target
-        # resolution, so gamma* sits within a step of the true peak.
-        assert abs(result.gamma_star - 0.42) <= 2 * 0.05
-        assert result.rounds >= 1
-        assert result.gammas_sampled > 5  # refinement added samples
-        assert runner.stats.planner_rounds == result.rounds
-
-    def test_refinement_disabled_stays_on_the_coarse_grid(self):
-        runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(max_rounds=0))
-        assert result.rounds == 0
-        assert result.gammas_sampled == 5
-        assert list(result.curve.gammas()) == pytest.approx(
-            list(np.linspace(0.1, 0.9, 5)))
-
-    def test_custom_grid_bounds_refinement(self):
-        runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(max_rounds=4),
-                       gammas=(0.2, 0.4, 0.6))
-        sampled = result.curve.gammas()
-        assert sampled.min() >= 0.2 - 1e-12
-        assert sampled.max() <= 0.6 + 1e-12
+        result = sweep(runner, policy(), gammas=(0.2, 0.4, 0.6))
+        assert result.fluid_gamma_star is not None
+        gammas = [cell.train.gamma(BOTTLENECK)
+                  for cell in runner.cells_measured
+                  if cell.train is not None]
+        assert min(gammas) >= 0.2 - 1e-12
+        assert max(gammas) <= 0.6 + 1e-12
 
     def test_savings_accounting_is_consistent(self):
         runner = StubRunner()
-        result = sweep(runner, policy(max_rounds=2, max_seeds=3,
-                                      confirm_peak_seeds=2))
+        result = sweep(runner, policy(max_seeds=3, confirm_peak_seeds=2))
         dense = int((0.9 - 0.1) / 0.05) + 1  # 17-cell dense grid
         assert result.cells_saved == dense - result.gammas_sampled
         assert result.seeds_saved == sum(
@@ -159,11 +141,19 @@ class TestRefinement:
         with pytest.raises(ValidationError, match="C_attack"):
             sweep(runner, policy(), gammas=(0.3, 0.5, 3.0))
 
+    def test_rejects_repeated_gammas(self):
+        # A repeat would be measured twice on one seed, and the planner
+        # would report the two identical samples as a confirmed peak.
+        runner = StubRunner(noise=0.2)
+        with pytest.raises(ValidationError, match="0.3 repeats"):
+            sweep(runner, FAST_POLICY, gammas=(0.3, 0.3, 0.35))
+        assert runner.cells_measured == []
+
 
 class TestFluidPrepass:
     def test_localizes_on_fluid_then_confirms_with_packet(self):
         runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(fluid_prepass=True, max_rounds=0))
+        result = sweep(runner, policy())
         # Two-stage sampling of the 17-point grid: the fluid baseline,
         # 9 coarse points, then the 2 full-resolution peak neighbors.
         assert result.fluid_cells == 12
@@ -186,7 +176,7 @@ class TestFluidPrepass:
 
     def test_confirm_grid_clamps_to_the_sweep_bounds(self):
         runner = StubRunner(peak=0.05, width=0.1)
-        result = sweep(runner, policy(fluid_prepass=True, max_rounds=0))
+        result = sweep(runner, policy())
         sampled = result.curve.gammas()
         assert sampled.min() >= 0.1 - 1e-12
         assert result.gammas_sampled == 3
@@ -195,23 +185,14 @@ class TestFluidPrepass:
         # A span of <= 2 resolution steps cannot be narrowed further,
         # so the fluid cells would be pure overhead.
         runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(fluid_prepass=True, max_rounds=0),
-                       gammas=(0.3, 0.35, 0.4))
+        result = sweep(runner, policy(), gammas=(0.3, 0.35, 0.4))
         assert result.fluid_cells == 0
         assert result.fluid_gamma_star is None
         assert all(c.backend == "packet" for c in runner.cells_measured)
 
-    def test_disabled_prepass_runs_the_full_coarse_grid(self):
-        runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(fluid_prepass=False, max_rounds=0))
-        assert result.fluid_cells == 0
-        assert result.fluid_gamma_star is None
-        assert result.gammas_sampled == 5
-        assert "fluid pre-pass" not in result.summary()
-
     def test_savings_count_against_the_dense_packet_grid(self):
         runner = StubRunner(peak=0.42)
-        result = sweep(runner, policy(fluid_prepass=True, max_rounds=0))
+        result = sweep(runner, policy())
         dense = int((0.9 - 0.1) / 0.05) + 1
         assert result.cells_saved == dense - result.gammas_sampled
         assert runner.stats.planner_cells_saved == result.cells_saved
@@ -231,8 +212,8 @@ class TestSeedAllocation:
         # Zero variance -> the CI half-width is 0 after two replicas,
         # so min_seeds=2 is also where allocation stops.
         runner = StubRunner(noise=0.0)
-        result = sweep(runner, policy(max_rounds=0, min_seeds=2,
-                                      max_seeds=5, confirm_peak_seeds=2))
+        result = sweep(runner, policy(min_seeds=2, max_seeds=5,
+                                      confirm_peak_seeds=2))
         assert all(point.n_seeds == 2 for point in result.points)
         assert result.seeds_saved == 3 * len(result.points)
 
@@ -240,15 +221,15 @@ class TestSeedAllocation:
         # Alternating per-seed jitter keeps the CI wide: every gamma
         # escalates to max_seeds and nothing is saved.
         runner = StubRunner(noise=0.2)
-        result = sweep(runner, policy(max_rounds=0, min_seeds=2,
-                                      max_seeds=4, confirm_peak_seeds=2))
+        result = sweep(runner, policy(min_seeds=2, max_seeds=4,
+                                      confirm_peak_seeds=2))
         assert result.seeds_at_peak == 4
         assert all(point.n_seeds == 4 for point in result.points)
         assert result.seeds_saved == 0
 
     def test_single_seed_points_report_infinite_ci(self):
         runner = StubRunner()
-        result = sweep(runner, policy(max_rounds=0))
+        result = sweep(runner, policy())
         assert all(np.isinf(p.ci_halfwidth) for p in result.points)
         assert result.seeds_at_peak == 1
         assert "n/a" in result.summary()  # inf CI renders as n/a
@@ -288,7 +269,7 @@ class TestIntegration:
         )
         result = sweep(
             runner,
-            policy(coarse_points=3, max_rounds=1, early_exit=relaxed),
+            policy(coarse_points=3, early_exit=relaxed),
             window=6.0,
         )
         assert 0.1 <= result.gamma_star <= 0.9

@@ -78,16 +78,15 @@ class TestSnapshots:
             "hit_ratio": 0.5, "executed_seconds": pytest.approx(2.0),
             "warm_starts": 1, "warmup_sims": 1,
             "warmup_seconds_saved": pytest.approx(6.0),
-            "planner_rounds": 0, "planner_cells_saved": 0,
-            "planner_seeds_saved": 0, "truncated_cells": 0,
-            "truncated_sim_seconds": 0.0, "fluid_cells": 0,
+            "planner_cells_saved": 0, "planner_seeds_saved": 0,
+            "truncated_cells": 0, "truncated_sim_seconds": 0.0,
+            "fluid_cells": 0,
         }
 
     def test_checkpoint_roundtrip_with_planner_counters(self):
         # A checkpoint taken with planner counters present must zero the
         # delta exactly, and further planner work must subtract cleanly.
         stats = make_stats(executed=2)
-        stats.planner_rounds = 1
         stats.planner_cells_saved = 4
         stats.planner_seeds_saved = 6
         stats.truncated_cells = 5
@@ -96,12 +95,12 @@ class TestSnapshots:
         zero = stats.delta_snapshot(mark)
         assert all(value == 0 for key, value in zero.items()
                    if key != "hit_ratio")
-        stats.planner_rounds += 2
+        stats.planner_seeds_saved += 2
         stats.truncated_cells += 1
         stats.truncated_sim_seconds += 7.5
         stats.fluid_cells += 4
         delta = stats.delta_snapshot(mark)
-        assert delta["planner_rounds"] == 2
+        assert delta["planner_seeds_saved"] == 2
         assert delta["planner_cells_saved"] == 0
         assert delta["truncated_cells"] == 1
         assert delta["truncated_sim_seconds"] == pytest.approx(7.5)
@@ -183,9 +182,9 @@ class TestRunnerIntegration:
             "cells": 4, "executed": 3, "cache_hits": 0, "memo_hits": 1,
             "hit_ratio": 0.25, "executed_seconds": executed_seconds,
             "warm_starts": 2, "warmup_sims": 1, "warmup_seconds_saved": 1.0,
-            "planner_rounds": 0, "planner_cells_saved": 0,
-            "planner_seeds_saved": 0, "truncated_cells": 0,
-            "truncated_sim_seconds": 0.0, "fluid_cells": 0,
+            "planner_cells_saved": 0, "planner_seeds_saved": 0,
+            "truncated_cells": 0, "truncated_sim_seconds": 0.0,
+            "fluid_cells": 0,
             "seed_fanout": 1, "parallel_batches": 0,
             "parallel_wall_seconds": 0.0, "parallel_busy_seconds": 0.0,
             "worker_utilization": None,
@@ -193,6 +192,6 @@ class TestRunnerIntegration:
         assert stats.delta_snapshot(stats.checkpoint()) == dict.fromkeys(
             ["cells", "hit_ratio", "executed", "cache_hits", "memo_hits",
              "executed_seconds", "warm_starts", "warmup_sims",
-             "warmup_seconds_saved", "planner_rounds", "planner_cells_saved",
+             "warmup_seconds_saved", "planner_cells_saved",
              "planner_seeds_saved", "truncated_cells",
              "truncated_sim_seconds", "fluid_cells"], 0)
