@@ -31,15 +31,20 @@ def main() -> None:
           f"duty cycle {train.duty_cycle:.1%})")
 
     net = build_dumbbell(DumbbellConfig(n_flows=24, seed=11))
-    monitor = RateMonitor(BIN, HORIZON)
     net.start_flows()
     net.run(until=5.0)
+    # One (time, queue_bytes, queue_packets, signed_size) row per
+    # bottleneck arrival from here on; attack sizes are negative.
     offset = net.sim.now
-    net.bottleneck.monitors.append(
-        lambda pkt, now, ok: monitor.observe(pkt, now - offset, ok)
-    )
+    arrivals = []
+    net.bottleneck.arrival_tap = arrivals.append
     net.add_attack(train, start_time=5.0).start()
     net.run(until=5.0 + HORIZON)
+
+    rows = np.array(arrivals)
+    rows[:, 0] -= offset
+    monitor = RateMonitor(BIN, HORIZON)
+    monitor.ingest(rows)
 
     display = paa_series(normalize(monitor.bytes_per_bin), PAA_WIDTH)
     print("\nincoming traffic (normalized, PAA):")

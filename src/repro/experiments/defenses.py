@@ -34,6 +34,7 @@ from repro.experiments.base import (
     run_gain_sweeps,
 )
 from repro.runner import Cell, get_default_runner
+from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
 
 __all__ = ["RTODefenseResult", "run_rto_randomization",
@@ -152,7 +153,17 @@ class AQMHardeningResult:
     choke: GainCurve
 
     def mean_gain_reduction(self) -> float:
-        """Mean (RED − CHOKe) measured attack gain across the sweep."""
+        """Mean (RED − CHOKe) measured attack gain across the sweep.
+
+        The curves are differenced pointwise, so both must have sampled
+        the same γ grid; a mismatch raises :class:`ValidationError`.
+        """
+        red, choke = self.red.gammas(), self.choke.gammas()
+        if not np.array_equal(red, choke):
+            raise ValidationError(
+                "RED and CHOKe sweeps sampled different gamma grids: "
+                f"RED {red.tolist()}, CHOKe {choke.tolist()}"
+            )
         return float(np.mean(self.red.measured() - self.choke.measured()))
 
     def render(self) -> str:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.core.attack import PulseTrain
 from repro.core.optimizer import optimal_attack
 from repro.detection.dtw import DTWPulseDetector, DTWVerdict
@@ -80,19 +82,15 @@ def _run_condition(name: str, train: Optional[PulseTrain],
                    horizon: float) -> EvasionScenario:
     net = _PLATFORM.build()
     capacity = _PLATFORM.bottleneck_bps
-    monitor = RateMonitor(_BIN_WIDTH, horizon)
     conformance = ConformanceDetector(min_rate_bps=0.5 * capacity)
 
     warmup = 5.0
     net.start_flows()
     net.run(until=warmup)
     offset = net.sim.now
-
-    def observe(packet, now, accepted):
-        monitor.observe(packet, now - offset, accepted)
-        conformance.observe_forward(packet, now, accepted)
-
-    net.bottleneck.monitors.append(observe)
+    arrivals = []
+    net.bottleneck.arrival_tap = arrivals.append
+    net.bottleneck.monitors.append(conformance.observe_forward)
     net.reverse_bottleneck.monitors.append(conformance.observe_reverse)
 
     attack_flow_id = None
@@ -102,6 +100,10 @@ def _run_condition(name: str, train: Optional[PulseTrain],
         attack_flow_id = source.flow_id
     net.run(until=warmup + horizon)
 
+    rows = np.array(arrivals)
+    rows[:, 0] -= offset
+    monitor = RateMonitor(_BIN_WIDTH, horizon)
+    monitor.ingest(rows)
     volume = FloodDetector(capacity, threshold_fraction=1.2, window=5.0)
     flood_verdict = volume.inspect(monitor.bytes_per_bin, _BIN_WIDTH)
     # The DTW detector, like its reference, examines a window of traffic

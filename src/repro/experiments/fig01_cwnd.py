@@ -22,6 +22,7 @@ from repro.core.throughput import (
 from repro.sim.packet import FULL_PACKET_BYTES
 from repro.sim.tcp import AIMDParams, TCPConfig, TCPVariant
 from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.util.errors import SimulationError
 from repro.util.units import mbps, ms
 
 __all__ = ["CwndExperiment", "run_fig01"]
@@ -72,7 +73,8 @@ def run_fig01(
 
     A lone flow on the dumbbell is given time to open its window, then
     attacked with *n_pulses* identical pulses of period T_AIMD.  The
-    window is sampled from the cwnd trace just before each epoch.
+    window is sampled just before each epoch from the ``tcp.cwnd``
+    series of a flight recorder attached before the flow starts.
     """
     tcp = TCPConfig(
         variant=TCPVariant.NEWRENO,
@@ -87,26 +89,38 @@ def run_fig01(
         n_flows=1, rtt_min=rtt, rtt_max=rtt, tcp=tcp, seed=3,
         buffer_bytes=60 * FULL_PACKET_BYTES,
     )
+    # Imported here so CLI start-up does not load the recorder module.
+    from repro.obs.recorder import FlightRecorder
+
     net = build_dumbbell(config)
     sender = net.senders[0]
-    sender.trace_cwnd = True
+    attack_start = 8.0
+    horizon = attack_start + n_pulses * period + 1.0
+    recorder = FlightRecorder()
+    recorder.attach(net, horizon=horizon)
     net.start_flows(stagger=0.0)
 
-    attack_start = 8.0
     net.run(until=attack_start)
     w_initial = sender.cwnd
 
     train = PulseTrain.uniform(extent, rate_bps, period - extent, n_pulses)
     source = net.add_attack(train, start_time=attack_start)
     source.start()
-    net.run(until=attack_start + n_pulses * period + 1.0)
+    net.run(until=horizon)
+    cwnd = {s.name: s for s in recorder.harvest()}["tcp.cwnd"]
+    if cwnd.evicted:
+        raise SimulationError(
+            "the cwnd trace overflowed the flight recorder "
+            f"({cwnd.evicted} samples evicted); lower n_pulses"
+        )
 
     aimd = tcp.aimd
     w_c = converged_window(aimd, delayed_ack, period, rtt)
     n_attack = pulses_to_converge(aimd, delayed_ack, period, rtt, w_initial)
 
     # Sample the trace just before each pulse start.
-    trace = sender.cwnd_trace
+    trace = [(t, w) for t, flow_id, w in cwnd.data.tolist()
+             if flow_id == sender.flow_id]
     epochs: List[Tuple[float, float, float]] = []
     for n, (begin, _end) in enumerate(train.pulse_intervals(attack_start)):
         before = [w for (t, w) in trace if t < begin]

@@ -76,9 +76,28 @@ class SyncResult:
         ])
 
 
-def _analyze(monitor: RateMonitor, attack_period: float, horizon: float,
+def _offered_load(net, train: PulseTrain, horizon: float) -> np.ndarray:
+    """Warm *net* up, attack it with *train*, and bin the bottleneck's
+    offered load over the *horizon* seconds that follow the warm-up."""
+    warmup = 5.0
+    net.start_flows()
+    net.run(until=warmup)
+    # Observe the bottleneck's offered load from t = warmup.
+    offset = net.sim.now
+    arrivals = []
+    net.bottleneck.arrival_tap = arrivals.append
+    source = net.add_attack(train, start_time=warmup)
+    source.start()
+    net.run(until=warmup + horizon)
+    rows = np.array(arrivals)
+    rows[:, 0] -= offset
+    monitor = RateMonitor(_BIN_WIDTH, horizon)
+    monitor.ingest(rows)
+    return monitor.bytes_per_bin
+
+
+def _analyze(raw: np.ndarray, attack_period: float, horizon: float,
              platform: str) -> SyncResult:
-    raw = monitor.bytes_per_bin
     display = paa_series(normalize(raw), _PAA_WIDTH)
     paa_bin = _BIN_WIDTH * _PAA_WIDTH
     report = analyze_synchronization(display, paa_bin)
@@ -100,24 +119,9 @@ def run_fig03_ns2(*, horizon: Optional[float] = None) -> SyncResult:
         ms(50), mbps(100), ms(1950),
         n_pulses=int(np.ceil(horizon / 2.0)) + 2,
     )
-    config = DumbbellConfig(n_flows=24, seed=11)
-    net = build_dumbbell(config)
-
-    warmup = 5.0
-    monitor = RateMonitor(_BIN_WIDTH, horizon)
-    net.start_flows()
-    net.run(until=warmup)
-    # Observe the bottleneck's offered load from t = warmup.
-    offset = net.sim.now
-
-    def observe(packet, now, accepted, _monitor=monitor, _offset=offset):
-        _monitor.observe(packet, now - _offset, accepted)
-
-    net.bottleneck.monitors.append(observe)
-    source = net.add_attack(train, start_time=warmup)
-    source.start()
-    net.run(until=warmup + horizon)
-    return _analyze(monitor, train.period, horizon, "ns-2")
+    net = build_dumbbell(DumbbellConfig(n_flows=24, seed=11))
+    return _analyze(_offered_load(net, train, horizon), train.period,
+                    horizon, "ns-2")
 
 
 def run_fig03_testbed(*, horizon: Optional[float] = None) -> SyncResult:
@@ -131,20 +135,6 @@ def run_fig03_testbed(*, horizon: Optional[float] = None) -> SyncResult:
         ms(100), mbps(50), ms(2400),
         n_pulses=int(np.ceil(horizon / 2.5)) + 2,
     )
-    config = TestbedConfig(n_flows=15, seed=13)
-    net = build_testbed(config)
-
-    warmup = 5.0
-    monitor = RateMonitor(_BIN_WIDTH, horizon)
-    net.start_flows()
-    net.run(until=warmup)
-    offset = net.sim.now
-
-    def observe(packet, now, accepted, _monitor=monitor, _offset=offset):
-        _monitor.observe(packet, now - _offset, accepted)
-
-    net.bottleneck.monitors.append(observe)
-    source = net.add_attack(train, start_time=warmup)
-    source.start()
-    net.run(until=warmup + horizon)
-    return _analyze(monitor, train.period, horizon, "test-bed")
+    net = build_testbed(TestbedConfig(n_flows=15, seed=13))
+    return _analyze(_offered_load(net, train, horizon), train.period,
+                    horizon, "test-bed")

@@ -15,10 +15,7 @@ Discipline (the same dual-dispatch contract as the registry):
   on :class:`~repro.sim.tcp.TCPSender`; nothing is ever *scheduled*,
   so the engine dispatches the identical ``(time, seq)`` event stream
   and every ``state_digest()`` is bit-identical with the recorder on,
-  off, or absent.  (:class:`~repro.sim.trace.QueueSampler` schedules
-  its own ticks, so the recorder never attaches one inside a cell --
-  it only *harvests* a scenario-owned sampler via
-  :meth:`FlightRecorder.tap_queue_sampler`.)
+  off, or absent.
 * **One pointer check when disabled.**  An untapped link has an
   ``arrival_tap`` of ``None`` (one ``is None`` per arrival) and an
   untapped sender a ``telemetry`` of ``None`` (one ``is None`` per
@@ -37,7 +34,7 @@ Discipline (the same dual-dispatch contract as the registry):
   and fan-out into series are deferred to
   :meth:`FlightRecorder.harvest` -- the rate series goes through
   :meth:`~repro.sim.trace.RateMonitor.ingest`, which accumulates in
-  arrival order and is bit-identical to observing each packet live.
+  arrival order, bit-identical to adding each arrival as it happens.
   Drops are the exception: they are rare, so a separate ``drop_tap``
   checked only on the drop branch keeps ``(time, packet)`` rows and
   defers flow-id extraction to harvest.
@@ -216,7 +213,6 @@ class FlightRecorder:
         #: (label, arrival rows, drop rows) per tapped link; fanned
         #: out into the rate/drop/queue series at harvest.
         self._taps: List[Tuple[str, list, list]] = []
-        self._samplers: List[Tuple[str, object]] = []
         self._sender_tap: Optional[_SenderTap] = None
         self._horizon = 0.0
         self._attached = False
@@ -287,16 +283,6 @@ class FlightRecorder:
             gc.set_threshold(*self._saved_gc_threshold)
             self._saved_gc_threshold = None
 
-    def tap_queue_sampler(self, sampler, name: str) -> None:
-        """Harvest a scenario-owned :class:`~repro.sim.trace.QueueSampler`.
-
-        The sampler schedules its own tick events, so cells never attach
-        one (that would change event numbering); scenarios that already
-        carry a sampler register it here and its samples are copied --
-        exactly, float for float -- into the harvested series *name*.
-        """
-        self._samplers.append((name, sampler))
-
     # ------------------------------------------------------------------
     def _ring_cap(self, name: str, columns: Tuple[str, ...],
                   rows: np.ndarray, evicted: int = 0) -> Series:
@@ -307,11 +293,10 @@ class FlightRecorder:
     def harvest(self) -> Tuple[Series, ...]:
         """All captured series, sorted by name (deterministic order).
 
-        The raw per-arrival link rows fan out here into the same three
-        series the live instruments would produce: the binned arrival
-        rate (via :meth:`~repro.sim.trace.RateMonitor.ingest`,
-        bit-identical to per-arrival observation), the drop records
-        (:class:`~repro.sim.trace.DropMonitor` column layout), and the
+        The raw per-arrival link rows fan out here into three series
+        per link: the binned arrival rate (via
+        :meth:`~repro.sim.trace.RateMonitor.ingest`), the
+        ``(time, flow_id, is_attack)`` drop records, and the
         ring-capped queue-depth-at-arrival samples.
         """
         from repro.sim.packet import PacketKind
@@ -326,8 +311,7 @@ class FlightRecorder:
                     else np.empty((0, 4)))
             name = f"link.{label}.rate"
             rate = RateMonitor(self.bin_width, self._horizon)
-            signed = rows[:, 3]
-            rate.ingest(rows[:, 0], np.abs(signed), signed < 0.0)
+            rate.ingest(rows)
             series[name] = Series(
                 name, ("time", "total_bytes", "attack_bytes"),
                 rate.as_columns())
@@ -348,12 +332,6 @@ class FlightRecorder:
             series["tcp.cwnd"] = self._ring_cap(
                 "tcp.cwnd", ("time", "flow_id", "cwnd"),
                 np.array(rows, dtype=np.float64) if rows
-                else np.empty((0, 3)))
-        for name, sampler in self._samplers:
-            times, qbytes, qpkts = sampler.as_arrays()
-            series[name] = Series(
-                name, ("time", "queue_bytes", "queue_packets"),
-                np.column_stack([times, qbytes, qpkts]) if len(times)
                 else np.empty((0, 3)))
         for name, ring in self._rings.items():
             series[name] = ring.as_series()

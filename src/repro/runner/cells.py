@@ -10,13 +10,16 @@ measures -- so the same cell yields bit-identical results whether it
 runs inline, in a worker process, or is replayed from the cache.
 
 Warm-start grouping: every cell's execution begins with an attack-free
-warm-up that depends only on the platform, the warm-up length, and the
-(passive) conformance-detector setting -- :func:`warmup_key` captures
-exactly that identity.  :func:`execute_cell_group` runs a batch of
-same-key cells by simulating the shared prefix once, freezing it with
+warm-up that depends only on the platform and the warm-up length --
+:func:`warmup_key` captures exactly that identity.
+:func:`execute_cell_group` runs a batch of same-key cells by simulating
+the shared prefix once, freezing the network with
 :class:`~repro.sim.checkpoint.NetworkSnapshot`, and measuring every
-cell on a bit-identical fork.  ``execute_cell(cell)`` and a grouped run
-of the same cell produce byte-for-byte equal :class:`CellResult`\\ s.
+cell on a bit-identical fork.  Observers (a flight recorder, the
+conformance detector) attach to each cell's network after the fork, so
+the prefix is the same for observed and unobserved cells.
+``execute_cell(cell)`` and a grouped run of the same cell produce
+byte-for-byte equal :class:`CellResult`\\ s.
 """
 
 from __future__ import annotations
@@ -278,9 +281,10 @@ class Cell:
         deployment: multi-source attack (mutually exclusive with
             ``train``; dumbbell platforms only).
         rate_floor_bps: when set, a per-flow conformance detector with
-            this rate floor observes the bottleneck and the result
-            reports how many attack sources it flagged (dumbbell only;
-            the detector is passive, so goodput is unaffected).
+            this rate floor observes the bottleneck from ``t = warmup``
+            and the result reports how many attack sources it flagged
+            (dumbbell only; the detector is passive, so goodput is
+            unaffected).
         early_exit: when set, a convergence monitor may end the window
             early once the goodput rate estimate stabilizes (the result
             then carries ``converged_at``).  Early-exit cells serialize
@@ -418,17 +422,16 @@ def warmup_key(cell: Cell) -> str:
     """The identity of a cell's attack-free warm-up prefix.
 
     Two cells with equal keys simulate byte-for-byte identical state up
-    to ``t = warmup``: same platform (topology, seeds, stack), same
-    warm-up length, and the same conformance-detector attachment (the
-    detector is passive, but it *observes* warm-up traffic, so its
-    setting is part of the prefix).  The attack train/deployment and the
-    window length deliberately do not appear -- they only act after the
-    prefix ends.
+    to ``t = warmup``: same platform (topology, seeds, stack) and same
+    warm-up length.  The attack train/deployment, the window length and
+    the conformance detector's rate floor deliberately do not appear --
+    they only act after the prefix ends (the detector attaches at
+    ``t = warmup``, and its verdicts read attack flows, which start
+    there).
     """
     payload = {
         "platform": cell.platform.describe(),
         "warmup": cell.warmup,
-        "rate_floor_bps": cell.rate_floor_bps,
     }
     # Fluid cells never share a snapshot with packet cells (there is no
     # packet-level network to fork); conditional for key stability.
@@ -440,21 +443,13 @@ def warmup_key(cell: Cell) -> str:
 def _build_warm(cell: Cell):
     """Build the cell's scenario and simulate its attack-free warm-up.
 
-    Returns ``(net, detector)`` with the simulation clock at
-    ``cell.warmup``; the result depends only on :func:`warmup_key`.
+    Returns the network with the simulation clock at ``cell.warmup``;
+    the result depends only on :func:`warmup_key`.
     """
     net = cell.platform.build()
-    detector = None
-    if cell.rate_floor_bps is not None:
-        from repro.detection.feature import ConformanceDetector
-
-        detector = ConformanceDetector(min_rate_bps=cell.rate_floor_bps)
-        net.bottleneck.monitors.append(detector.observe_forward)
-        net.reverse_bottleneck.monitors.append(detector.observe_reverse)
-
     net.start_flows()
     net.run(until=cell.warmup)
-    return net, detector
+    return net
 
 
 def _make_recorder(cell: Cell, record: bool):
@@ -471,18 +466,27 @@ def _make_recorder(cell: Cell, record: bool):
     return FlightRecorder()
 
 
-def _measure_warmed(net, detector, cell: Cell, recorder=None) -> CellResult:
+def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
     """Apply the cell's attack to a warmed network and measure.
 
-    An optional flight *recorder* is attached first -- purely passive
-    taps (link monitors, sender telemetry pointers, an engine post-run
-    hook), so the measured result is bit-identical with or without it.
-    Attachment happens here, after any warm-start fork, because taps
-    must never ride through a snapshot deep copy.  The recorder is
-    detached on the way out, also when the run raises, so its raised
-    GC threshold never outlives the cell.
+    The observers are attached first, both purely passive: the cell's
+    conformance detector (bottleneck and return-link monitors), when it
+    has a rate floor, and an optional flight *recorder* (link arrival
+    and drop taps, sender telemetry pointers, an engine post-run hook).
+    The measured goodput is bit-identical with or without either.
+    Attachment happens here, after any warm-start fork, because
+    observers must never ride through a snapshot deep copy.  The
+    recorder is detached on the way out, also when the run raises, so
+    its raised GC threshold never outlives the cell.
     """
     before = net.aggregate_goodput_bytes()
+    detector = None
+    if cell.rate_floor_bps is not None:
+        from repro.detection.feature import ConformanceDetector
+
+        detector = ConformanceDetector(min_rate_bps=cell.rate_floor_bps)
+        net.bottleneck.monitors.append(detector.observe_forward)
+        net.reverse_bottleneck.monitors.append(detector.observe_reverse)
     if recorder is not None:
         recorder.attach(net, horizon=cell.warmup + cell.window)
     try:
@@ -558,8 +562,7 @@ def execute_cell(cell: Cell, recorder=None) -> CellResult:
     """
     if cell.backend == "fluid":
         return _execute_fluid(cell)
-    net, detector = _build_warm(cell)
-    return _measure_warmed(net, detector, cell, recorder=recorder)
+    return _measure_warmed(_build_warm(cell), cell, recorder=recorder)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -610,9 +613,11 @@ def execute_cell_group(cells: Sequence[Cell], *,
 
     With ``record=True`` every packet cell gets a private flight
     recorder whose harvested series ride back in
-    :attr:`GroupResult.series`.  Recorders attach only after the
-    snapshot fork (taps never leak between cells or into the frozen
-    prefix), so recorded results stay bit-identical to unrecorded ones.
+    :attr:`GroupResult.series`.  Recorders and conformance detectors
+    attach only after the snapshot fork (observers never leak between
+    cells or into the frozen prefix), so a group may mix observed and
+    unobserved cells, and recorded results stay bit-identical to
+    unrecorded ones.
     """
     if not cells:
         return GroupResult((), (), 0, 0, 0.0)
@@ -640,10 +645,10 @@ def execute_cell_group(cells: Sequence[Cell], *,
         return None if recorder is None else recorder.harvest()
 
     started = time.perf_counter()
-    net, detector = _build_warm(first)
+    net = _build_warm(first)
     if len(cells) == 1:
         recorder = _make_recorder(first, record)
-        result = _measure_warmed(net, detector, first, recorder=recorder)
+        result = _measure_warmed(net, first, recorder=recorder)
         return GroupResult(
             (result,), (time.perf_counter() - started,), 1, 0, 0.0,
             series=(_harvest(recorder),) if record else (),
@@ -651,20 +656,17 @@ def execute_cell_group(cells: Sequence[Cell], *,
 
     from repro.sim.checkpoint import NetworkSnapshot
 
-    # Freeze before measuring the first cell: its attack must not leak
-    # into the forks.  The detector rides in the same deep copy so its
-    # monitor hooks stay aliased to the (copied) links.  Flight
-    # recorders attach strictly after this freeze, for the same reason.
-    snapshot = NetworkSnapshot(net, detector)
+    # Freeze before measuring the first cell: its attack and observers
+    # must not leak into the forks.
+    snapshot = NetworkSnapshot(net)
     recorder = _make_recorder(first, record)
-    results = [_measure_warmed(net, detector, first, recorder=recorder)]
+    results = [_measure_warmed(net, first, recorder=recorder)]
     series = [_harvest(recorder)]
     elapsed = [time.perf_counter() - started]
     for cell in cells[1:]:
         forked = time.perf_counter()
-        fork_net, (fork_detector,) = snapshot.fork()
         recorder = _make_recorder(cell, record)
-        results.append(_measure_warmed(fork_net, fork_detector, cell,
+        results.append(_measure_warmed(snapshot.fork(), cell,
                                        recorder=recorder))
         series.append(_harvest(recorder))
         elapsed.append(time.perf_counter() - forked)

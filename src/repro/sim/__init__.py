@@ -15,7 +15,8 @@ the equivalent substrate built from scratch:
   dumbbell (Fig. 5) and parking-lot builders;
 * :mod:`repro.sim.checkpoint` -- warm-start snapshot/fork of a built
   network (simulate a shared warm-up once, fork each sweep cell);
-* :mod:`repro.sim.trace` -- rate / drop / queue instrumentation;
+* :mod:`repro.sim.trace` -- binning of a link's arrival-tap rows into
+  the offered-load series;
 * :mod:`repro.sim.profile` -- cProfile wrapper reporting events/sec;
 * :mod:`repro.sim.tracefile` -- ns-2-format trace file writer/parser.
 """
@@ -43,7 +44,7 @@ from repro.sim.topology import (
     make_droptail_queue,
     make_red_queue,
 )
-from repro.sim.trace import DropMonitor, QueueSampler, RateMonitor
+from repro.sim.trace import RateMonitor
 from repro.sim.tracefile import TraceRecord, TraceWriter, read_trace
 from repro.sim.workload import FlowRecord, ShortFlowWorkload
 
@@ -51,7 +52,6 @@ __all__ = [
     "AIMDParams",
     "CBRSource",
     "CHOKeQueue",
-    "DropMonitor",
     "DropTailQueue",
     "DumbbellConfig",
     "DumbbellNetwork",
@@ -66,7 +66,6 @@ __all__ = [
     "ProfileReport",
     "PulseAttackSource",
     "QueueDiscipline",
-    "QueueSampler",
     "QueueState",
     "REDQueue",
     "RateMonitor",

@@ -45,7 +45,7 @@ for itself immediately for sweeps of two or more cells per prefix.
 from __future__ import annotations
 
 import copy
-from typing import Any, Tuple
+from typing import Any
 
 from repro.sim.packet import Packet
 from repro.util.errors import SimulationError
@@ -59,18 +59,17 @@ class NetworkSnapshot:
     Args:
         net: the network to freeze (any object owning a ``sim``
             attribute -- a :class:`~repro.sim.topology.Network` from any
-            scenario builder, or a test scenario).  Must not be inside :meth:`Simulator.run`.
-        extras: companion objects to freeze *in the same deep copy* so
-            aliasing with the network is preserved (e.g. a
-            :class:`~repro.detection.conformance.ConformanceDetector`
-            whose monitors wrap the network's links).  Returned, forked,
-            by :meth:`fork` alongside the network.
+            scenario builder, or a test scenario).  Must not be inside
+            :meth:`Simulator.run`.
 
-    The snapshot itself is one deep copy taken eagerly at construction,
-    so later mutation of the original network cannot leak into forks.
+    The snapshot holds the network alone.  Observers -- a flight
+    recorder, a conformance detector -- attach to each fork, never to
+    the frozen network.  The snapshot itself is one deep copy taken
+    eagerly at construction, so later mutation of the original network
+    cannot leak into forks.
     """
 
-    def __init__(self, net: Any, *extras: Any) -> None:
+    def __init__(self, net: Any) -> None:
         sim = getattr(net, "sim", None)
         if sim is not None and getattr(sim, "_running", False):
             raise SimulationError(
@@ -82,23 +81,18 @@ class NetworkSnapshot:
         self._next_uid = Packet.peek_uid()
         #: simulation time at which the snapshot was taken.
         self.taken_at = 0.0 if sim is None else sim.now
-        # One deepcopy with a shared memo: extras that alias network
-        # internals (monitors holding links) stay aliased in the copy.
-        self._frozen: Tuple[Any, Tuple[Any, ...]] = copy.deepcopy(
-            (net, tuple(extras))
-        )
+        self._frozen = copy.deepcopy(net)
         self.forks = 0
 
     # ------------------------------------------------------------------
-    def fork(self) -> Tuple[Any, Tuple[Any, ...]]:
-        """A private, mutable copy of the frozen network (and extras).
+    def fork(self) -> Any:
+        """A private, mutable copy of the frozen network.
 
         Restores the global packet uid counter to the snapshot's value
         first, so every fork -- and a from-scratch run of the same
-        prefix -- draws the same uid sequence.  Returns ``(net,
-        extras)`` where ``extras`` matches the constructor arguments.
+        prefix -- draws the same uid sequence.
         """
         Packet.set_next_uid(self._next_uid)
-        net, extras = copy.deepcopy(self._frozen)
+        net = copy.deepcopy(self._frozen)
         self.forks += 1
-        return net, extras
+        return net

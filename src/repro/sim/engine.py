@@ -806,7 +806,7 @@ class Simulator:
             _TOTAL_DISPATCHED += executed
         if until is not None and not self._stopped and self._now < until:
             # Advance the clock to the horizon even if the calendar drained
-            # early, so rate monitors see the full observation window.
+            # early, so observers see the full observation window.
             self._now = until
         if registry is not None:
             registry.counter("engine.runs").inc()

@@ -144,7 +144,10 @@ class Link:
         self.peak_queue_bytes = 0.0
 
         #: Monitors invoked on every arrival at the link's ingress with
-        #: ``(packet, time, accepted)``.  Used by rate/drop tracers.
+        #: ``(packet, time, accepted)``, for observers that need the
+        #: packet itself: the ns-2 trace writer (seq, uid, endpoints)
+        #: and the conformance detector (per-flow profiles).  Numeric
+        #: time series come from :attr:`arrival_tap` instead.
         self.monitors: List[LinkMonitor] = []
 
         #: Flight-recorder fast tap (see :mod:`repro.obs.recorder`):

@@ -30,7 +30,7 @@ for a finite flow with completion-time reporting (the short-flow
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.sim.packet import Packet, PacketKind, TCP_HEADER_BYTES
 from repro.sim.tcp.params import TCPConfig, TCPVariant
@@ -61,7 +61,9 @@ class TCPSender:
 
     * :attr:`acked_segments` / :meth:`goodput_bytes` -- delivered data.
     * :attr:`timeouts`, :attr:`fast_retransmits` -- recovery events.
-    * :attr:`cwnd_trace` -- ``(time, cwnd)`` samples when ``trace_cwnd``.
+
+    The cwnd trajectory and recovery episodes over time reach the flight
+    recorder through :attr:`telemetry`.
     """
 
     def __init__(
@@ -72,7 +74,6 @@ class TCPSender:
         receiver_node_id: int,
         config: Optional[TCPConfig] = None,
         *,
-        trace_cwnd: bool = False,
         transfer_segments: Optional[int] = None,
         on_complete: Optional[Callable[["TCPSender"], None]] = None,
     ) -> None:
@@ -125,10 +126,6 @@ class TCPSender:
         self.retransmissions = 0
         self.fast_retransmits = 0
         self.timeouts = 0
-        self.trace_cwnd = trace_cwnd
-        self.cwnd_trace: List[Tuple[float, float]] = []
-        #: (time, kind) for each recovery episode; kind in {"fr", "to"}.
-        self.recovery_events: List[Tuple[float, str]] = []
         #: Flight-recorder listener (``cwnd_append``/``on_recovery``),
         #: or ``None``.  ``cwnd_append`` is a C-level callable
         #: (``list.append``) fed ``(time, flow_id, cwnd)`` rows -- cwnd
@@ -500,15 +497,12 @@ class TCPSender:
 
     # ------------------------------------------------------------------
     def _record_cwnd(self) -> None:
-        if self.trace_cwnd:
-            self.cwnd_trace.append((self.sim.now, self.cwnd))
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.cwnd_append((self.sim.now, self.flow_id, self.cwnd))
 
     def _note_recovery(self, kind: str) -> None:
         """Record a recovery entry ("fr"/"to"), sampled pre-decrease."""
-        self.recovery_events.append((self.sim.now, kind))
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_recovery(self.flow_id, self.sim.now, kind,

@@ -1,89 +1,61 @@
-"""Tracing and measurement instruments.
+"""The binned offered-load series.
 
-These attach to links (via :attr:`Link.monitors`) or are queried from
-agents after a run.  The paper's measurements map onto:
-
-* :class:`RateMonitor` — the binned incoming-traffic time series used for
-  the quasi-global-synchronization analysis (Fig. 3); it separates attack
-  bytes from legitimate bytes.
-* :class:`DropMonitor` — per-arrival drop records at the bottleneck.
-* :class:`QueueSampler` — periodic queue-occupancy samples.
+Per-arrival time series come from one source: a link's
+``arrival_tap`` (see :class:`~repro.sim.link.Link`), which collects one
+number-only ``(time, queue_bytes, queue_packets, signed_size)`` row per
+arrival, the size negated for attack packets.  :class:`RateMonitor`
+bins such rows after the run -- the flight recorder's ``link.*.rate``
+series and the quasi-global-synchronization measurement of Fig. 3,
+which separates attack bytes from legitimate bytes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.packet import Packet
 from repro.util.validate import check_positive
 
-__all__ = ["RateMonitor", "DropMonitor", "QueueSampler"]
+__all__ = ["RateMonitor"]
 
 
 class RateMonitor:
-    """Bins accepted bytes on a link into fixed-width time buckets.
+    """Bins arrival bytes into fixed-width time buckets.
 
-    Attach to a link with ``link.monitors.append(monitor.observe)``.
+    Every arrival counts, dropped or not: the paper's "incoming
+    traffic" is the offered load at the router.
 
     Args:
         bin_width: bucket width in seconds (the paper uses sub-second bins
             to resolve pulses of 50-150 ms).
         horizon: observation window in seconds; arrivals past it are
             ignored so the arrays have a fixed, known shape.
-        count_dropped: if True, dropped arrivals are counted too
-            (offered load); if False only accepted bytes are counted
-            (carried load).  The paper's "incoming traffic" is offered
-            load at the router, so the default is True.
     """
 
-    def __init__(self, bin_width: float, horizon: float, *,
-                 count_dropped: bool = True) -> None:
+    def __init__(self, bin_width: float, horizon: float) -> None:
         self.bin_width = check_positive("bin_width", bin_width)
         self.horizon = check_positive("horizon", horizon)
-        self.count_dropped = count_dropped
         self.n_bins = int(math.ceil(horizon / bin_width))
-        # Plain lists, not arrays: observe() runs per arrival on the
-        # link hot path, and a list element += is several times cheaper
-        # than a numpy scalar update.  The array views are built on read.
-        self._total = [0.0] * self.n_bins
-        self._attack = [0.0] * self.n_bins
+        self._total = np.zeros(self.n_bins)
+        self._attack = np.zeros(self.n_bins)
 
-    def observe(self, packet: Packet, now: float, accepted: bool) -> None:
-        """Link-monitor callback."""
-        if not accepted and not self.count_dropped:
-            return
-        index = int(now / self.bin_width)
-        if 0 <= index < self.n_bins:
-            self._total[index] += packet.size_bytes
-            if packet.is_attack:
-                self._attack[index] += packet.size_bytes
+    def ingest(self, rows) -> None:
+        """Add arrival-tap rows to the bins.
 
-    def ingest(self, times, sizes, attack, accepted=None) -> None:
-        """Vectorized :meth:`observe` over per-arrival arrays.
-
-        The flight recorder's harvest path: it captures one flat row
-        per arrival in-sim and bins them all here afterwards.
-        ``np.add.at`` accumulates in element order, so the sums are
-        bit-identical to observing each arrival in sequence.
+        Each row is ``(time, queue_bytes, queue_packets, signed_size)``,
+        the size negative for attack packets; only the first and last
+        columns are read.  ``np.add.at`` accumulates in row order, so
+        the sums equal adding each arrival in sequence, bit for bit.
         """
-        times = np.asarray(times, dtype=np.float64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        attack = np.asarray(attack, dtype=bool)
-        if accepted is not None and not self.count_dropped:
-            keep = np.asarray(accepted, dtype=bool)
-            times, sizes, attack = times[keep], sizes[keep], attack[keep]
-        index = (times / self.bin_width).astype(np.int64)
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        signed = rows[:, 3]
+        sizes = np.abs(signed)
+        index = (rows[:, 0] / self.bin_width).astype(np.int64)
         ok = (index >= 0) & (index < self.n_bins)
-        total = np.array(self._total)
-        np.add.at(total, index[ok], sizes[ok])
-        self._total = total.tolist()
-        attacked = ok & attack
-        attack_total = np.array(self._attack)
-        np.add.at(attack_total, index[attacked], sizes[attacked])
-        self._attack = attack_total.tolist()
+        np.add.at(self._total, index[ok], sizes[ok])
+        attacked = ok & (signed < 0.0)
+        np.add.at(self._attack, index[attacked], sizes[attacked])
 
     # ------------------------------------------------------------------
     @property
@@ -94,106 +66,23 @@ class RateMonitor:
     @property
     def bytes_per_bin(self) -> np.ndarray:
         """Total bytes (attack + legitimate) per bin."""
-        return np.array(self._total)
+        return self._total.copy()
 
     @property
     def attack_bytes_per_bin(self) -> np.ndarray:
         """Attack bytes per bin."""
-        return np.array(self._attack)
+        return self._attack.copy()
 
     @property
     def legit_bytes_per_bin(self) -> np.ndarray:
         """Legitimate (non-attack) bytes per bin."""
-        return np.array(self._total) - np.array(self._attack)
+        return self._total - self._attack
 
     def rate_bps(self) -> np.ndarray:
         """Per-bin average arrival rate in bits per second."""
-        return np.array(self._total) * 8.0 / self.bin_width
+        return self._total * 8.0 / self.bin_width
 
     def as_columns(self) -> np.ndarray:
         """``(time, total_bytes, attack_bytes)`` rows (flight-recorder
         harvest format; one row per bin)."""
         return np.column_stack([self.times, self._total, self._attack])
-
-
-class DropMonitor:
-    """Records ``(time, flow_id, is_attack)`` for every dropped arrival.
-
-    :attr:`legit_drops` / :attr:`attack_drops` are running counters kept
-    on each observation, so querying them mid-run (e.g. a per-pulse
-    damage probe) is O(1) instead of a scan over every record so far.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[Tuple[float, int, bool]] = []
-        self._attack_drops = 0
-
-    def observe(self, packet: Packet, now: float, accepted: bool) -> None:
-        """Link-monitor callback."""
-        if not accepted:
-            is_attack = packet.is_attack
-            self.records.append((now, packet.flow_id, is_attack))
-            if is_attack:
-                self._attack_drops += 1
-
-    @property
-    def total_drops(self) -> int:
-        return len(self.records)
-
-    @property
-    def legit_drops(self) -> int:
-        return len(self.records) - self._attack_drops
-
-    @property
-    def attack_drops(self) -> int:
-        return self._attack_drops
-
-    def as_columns(self) -> np.ndarray:
-        """``(time, flow_id, is_attack)`` float rows (flight-recorder
-        harvest format; one row per dropped arrival)."""
-        if not self.records:
-            return np.empty((0, 3))
-        return np.array(
-            [(t, float(flow_id), float(is_attack))
-             for t, flow_id, is_attack in self.records], dtype=np.float64)
-
-    def drop_times(self, *, legit_only: bool = False) -> np.ndarray:
-        """Timestamps of drops, optionally restricted to legitimate flows."""
-        return np.array([
-            t for t, _, is_attack in self.records
-            if not (legit_only and is_attack)
-        ])
-
-
-class QueueSampler:
-    """Samples a link's buffer occupancy every *interval* seconds.
-
-    Start with :meth:`start`; samples accumulate in :attr:`samples` as
-    ``(time, queue_bytes, queue_packets)``.
-    """
-
-    def __init__(self, link, interval: float = 0.01,
-                 horizon: Optional[float] = None) -> None:
-        self.link = link
-        self.interval = check_positive("interval", interval)
-        self.horizon = horizon
-        self.samples: List[Tuple[float, float, int]] = []
-
-    def start(self) -> None:
-        """Begin periodic sampling (schedules itself)."""
-        self._tick()
-
-    def _tick(self) -> None:
-        sim = self.link.sim
-        now = sim.now
-        if self.horizon is not None and now > self.horizon:
-            return
-        self.samples.append((now, self.link.queue_bytes, self.link.queue_packets))
-        sim.schedule(self.interval, self._tick)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (times, queue_bytes, queue_packets) as numpy arrays."""
-        if not self.samples:
-            return np.array([]), np.array([]), np.array([])
-        times, qbytes, qpkts = zip(*self.samples)
-        return np.array(times), np.array(qbytes), np.array(qpkts)

@@ -2,11 +2,26 @@
 
 import pytest
 
+from repro.core.classify import GainComparison, GainRegime
+from repro.experiments.base import GainCurve, GainPoint
 from repro.experiments.defenses import (
+    AQMHardeningResult,
     RTODefenseResult,
     run_aqm_hardening,
     run_rto_randomization,
 )
+from repro.util.errors import ValidationError
+
+
+def curve(label, gammas, gain):
+    points = [GainPoint(gamma=g, period=1.0, analytic_gain=gain,
+                        measured_gain=gain, measured_degradation=0.5,
+                        is_shrew=False) for g in gammas]
+    return GainCurve(
+        label=label, rate_bps=3e7, extent=0.1, kappa=1.0, c_psi=0.1,
+        points=points,
+        comparison=GainComparison(GainRegime.NORMAL, 0.0, 0.0, len(points)),
+    )
 
 
 class TestRTORandomization:
@@ -34,6 +49,19 @@ class TestAQMHardening:
         result = run_aqm_hardening(gammas=[0.5, 0.7])
         assert result.mean_gain_reduction() > 0.0
         assert "CHOKe" in result.render()
+
+    def test_matched_grids_difference_pointwise(self):
+        result = AQMHardeningResult(red=curve("RED", [0.3, 0.5], 0.4),
+                                    choke=curve("CHOKe", [0.3, 0.5], 0.1))
+        assert result.mean_gain_reduction() == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("choke_gammas", [[0.3], [0.3, 0.6]])
+    def test_mismatched_grids_rejected(self, choke_gammas):
+        result = AQMHardeningResult(red=curve("RED", [0.3, 0.5], 0.4),
+                                    choke=curve("CHOKe", choke_gammas, 0.1))
+        with pytest.raises(ValidationError,
+                           match=r"RED \[0.3, 0.5\], CHOKe \[0.3"):
+            result.mean_gain_reduction()
 
     def test_damage_lower_under_choke_at_high_rate(self):
         result = run_aqm_hardening(gammas=[0.7])

@@ -13,14 +13,13 @@ from repro.obs.recorder import (
     contested_links,
 )
 from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import QueueSampler
 from repro.util.units import mbps, ms
 
 HORIZON = 4.0
 
 
-def attacked_net(recorder=None, sampler_interval=None):
-    """A short attacked dumbbell, optionally taped and/or sampled."""
+def attacked_net(recorder=None):
+    """A short attacked dumbbell, optionally taped."""
     config = DumbbellConfig(n_flows=3, seed=23)
     net = build_dumbbell(config)
     train = PulseTrain.from_gamma(
@@ -28,18 +27,13 @@ def attacked_net(recorder=None, sampler_interval=None):
         bottleneck_bps=config.bottleneck_rate_bps, n_pulses=10,
     )
     net.add_attack(train, start_time=1.0)
-    sampler = None
-    if sampler_interval is not None:
-        sampler = QueueSampler(net.bottleneck, interval=sampler_interval,
-                               horizon=HORIZON)
-        sampler.start()
     if recorder is not None:
         recorder.attach(net, horizon=HORIZON)
     net.start_flows()
     for source in net.attack_sources:
         source.start()
     net.run(until=HORIZON)
-    return net, sampler
+    return net
 
 
 class TestSeriesRecorder:
@@ -87,9 +81,9 @@ class TestPassivity:
     def test_state_digest_bit_identical_with_recorder(self):
         # The acceptance bar: attaching the recorder must not change a
         # single simulated bit -- same digests, same goodput.
-        bare, _ = attacked_net()
+        bare = attacked_net()
         recorder = FlightRecorder()
-        taped, _ = attacked_net(recorder)
+        taped = attacked_net(recorder)
         assert taped.state_digest() == bare.state_digest()
         assert (taped.aggregate_goodput_bytes()
                 == bare.aggregate_goodput_bytes())
@@ -109,7 +103,7 @@ class TestPassivity:
 
     def test_attach_twice_rejected(self):
         recorder = FlightRecorder()
-        net, _ = attacked_net(recorder)
+        net = attacked_net(recorder)
         with pytest.raises(RuntimeError, match="only once"):
             recorder.attach(net, horizon=HORIZON)
         recorder.detach()
@@ -141,29 +135,6 @@ class TestPassivity:
         cwnd = {s.name: s for s in recorder.harvest()}["tcp.cwnd"]
         assert cwnd.n_rows == 16
         assert cwnd.evicted > 0
-
-
-class TestQueueSamplerTap:
-    def test_harvest_matches_sampler_exactly(self):
-        # The sampler is scenario-owned (it schedules its own ticks);
-        # the recorder only copies its samples -- float for float.
-        recorder = FlightRecorder()
-        config = DumbbellConfig(n_flows=3, seed=23)
-        net = build_dumbbell(config)
-        sampler = QueueSampler(net.bottleneck, interval=0.05,
-                               horizon=HORIZON)
-        sampler.start()
-        recorder.attach(net, horizon=HORIZON)
-        recorder.tap_queue_sampler(sampler, "link.bottleneck.sampled")
-        net.start_flows()
-        net.run(until=HORIZON)
-        series = {s.name: s
-                  for s in recorder.harvest()}["link.bottleneck.sampled"]
-        times, qbytes, qpkts = sampler.as_arrays()
-        assert series.n_rows == len(times) > 0
-        assert np.array_equal(series.column("time"), times)
-        assert np.array_equal(series.column("queue_bytes"), qbytes)
-        assert np.array_equal(series.column("queue_packets"), qpkts)
 
 
 class TestContestedLinks:

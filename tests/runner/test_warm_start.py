@@ -59,11 +59,17 @@ class TestWarmupKey:
 
     @pytest.mark.parametrize("variation", [
         dict(seed=12), dict(warmup=2.0), dict(n_flows=3),
-        dict(rate_floor_bps=mbps(1)),
+        dict(kind="testbed"),
     ])
     def test_prefix_changes_split_groups(self, variation):
         assert warmup_key(sweep_cells()[0]) != warmup_key(
             sweep_cells(**variation)[0])
+
+    def test_rate_floor_shares_the_prefix(self):
+        # The detector attaches after the warm-up, so a rate floor does
+        # not change the prefix.
+        assert warmup_key(sweep_cells()[0]) == warmup_key(
+            sweep_cells(rate_floor_bps=mbps(1))[0])
 
 
 class TestGroupExecutor:
@@ -80,6 +86,17 @@ class TestGroupExecutor:
         mixed = [sweep_cells(seed=1)[0], sweep_cells(seed=2)[0]]
         with pytest.raises(ValidationError, match="warmup prefix"):
             execute_cell_group(mixed)
+
+    def test_detector_and_plain_cells_share_one_warmup(self):
+        plain = sweep_cells(gammas=(1.2,))
+        detected = sweep_cells(rate_floor_bps=mbps(0.05), gammas=(1.2,))
+        cells = [plain[0], detected[1], plain[1], detected[0]]
+        grouped = execute_cell_group(cells)
+        assert grouped.warmup_sims == 1
+        assert grouped.warm_starts == 3
+        assert list(grouped.results) == [execute_cell(c) for c in cells]
+        assert [r.flagged_sources for r in grouped.results] == [
+            None, 1, None, 0]
 
     def test_empty_and_singleton_groups(self):
         assert execute_cell_group([]).results == ()
@@ -106,8 +123,8 @@ class TestBitIdentity:
         assert warm.stats.warmup_sims == 1
 
     def test_conformance_detection_identical(self):
-        # The detector observes warm-up traffic, so its state rides the
-        # snapshot; flagged counts must match from-scratch execution.
+        # Each fork gets its own detector, attached at t = warmup;
+        # flagged counts must match from-scratch execution.
         cells = sweep_cells(rate_floor_bps=mbps(0.05), gammas=(0.6, 1.2))
         _, warm_results, cold_results = self.run_both(cells)
         assert warm_results == cold_results

@@ -49,14 +49,14 @@ class TestForkBitIdentity:
     def test_fork_digest_matches_original(self, queue):
         net = warmed_dumbbell(queue)
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.state_digest() == net.state_digest()
 
     @pytest.mark.parametrize("queue", sorted(QUEUE_FACTORIES))
     def test_fork_evolves_identically_under_attack(self, queue):
         net = warmed_dumbbell(queue)
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         for candidate in (net, fork):
             candidate.add_attack(make_train(), start_time=2.0).start()
             candidate.run(6.0)
@@ -72,7 +72,7 @@ class TestForkBitIdentity:
     def test_fork_identity_across_tcp_variants(self, variant):
         net = warmed_dumbbell("red", variant)
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         for candidate in (net, fork):
             candidate.add_attack(make_train(), start_time=2.0).start()
             candidate.run(5.0)
@@ -84,7 +84,7 @@ class TestForkBitIdentity:
         # of warm starts rest on this equivalence.
         scratch = warmed_dumbbell("red")
         snapshot = NetworkSnapshot(warmed_dumbbell("red"))
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.state_digest() == scratch.state_digest()
 
     def test_testbed_fork_identity(self):
@@ -92,7 +92,7 @@ class TestForkBitIdentity:
         net.start_flows()
         net.run(2.0)
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.state_digest() == net.state_digest()
         for candidate in (net, fork):
             candidate.add_attack(make_train(mbps(40)), start_time=2.0).start()
@@ -105,8 +105,8 @@ class TestForkIsolation:
     def test_forks_are_independent(self):
         net = warmed_dumbbell()
         snapshot = NetworkSnapshot(net)
-        heavy, _ = snapshot.fork()
-        light, _ = snapshot.fork()
+        heavy = snapshot.fork()
+        light = snapshot.fork()
         heavy.add_attack(make_train(mbps(80)), start_time=2.0).start()
         light.add_attack(make_train(mbps(20)), start_time=2.0).start()
         heavy.run(6.0)
@@ -123,15 +123,15 @@ class TestForkIsolation:
         net.add_attack(make_train(), start_time=2.0).start()
         net.run(7.0)
         # ...and the snapshot still forks from the frozen state.
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.state_digest() == digest
 
     def test_same_snapshot_forks_identical_uid_streams(self):
         snapshot = NetworkSnapshot(warmed_dumbbell())
-        first, _ = snapshot.fork()
+        first = snapshot.fork()
         uid_after_first = Packet.peek_uid()
         first.run(4.0)  # consume uids on the first fork
-        second, _ = snapshot.fork()
+        second = snapshot.fork()
         assert Packet.peek_uid() == uid_after_first
         second.run(4.0)
         assert first.state_digest() == second.state_digest()
@@ -153,7 +153,7 @@ class TestEdgeCases:
         cancelled.cancel()
         assert net.sim.pending_events > 0
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.state_digest() == net.state_digest()
         for candidate in (net, fork):
             candidate.run(3.0)
@@ -171,7 +171,7 @@ class TestEdgeCases:
         net.run(2.0)
         assert net.sim.scheduler == scheduler
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         assert fork.sim.scheduler == scheduler
         assert fork.state_digest() == net.state_digest()
         for candidate in (net, fork):
@@ -193,7 +193,7 @@ class TestEdgeCases:
             net.start_flows()
             net.run(2.0)
             warm_digests.append(net.state_digest())
-            fork, _ = NetworkSnapshot(net).fork()
+            fork = NetworkSnapshot(net).fork()
             fork.run(4.0)
             assert (net.sim.scheduler, fork.sim.scheduler) == (
                 scheduler, scheduler)
@@ -212,7 +212,7 @@ class TestEdgeCases:
         ).start()
         net.run(1.5)  # halfway through the 2 s pulse
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         for candidate in (net, fork):
             candidate.run(4.0)
         assert fork.state_digest() == net.state_digest()
@@ -235,7 +235,7 @@ class TestEdgeCases:
         net.start_flows()
         net.run(0.0)
         snapshot = NetworkSnapshot(net)
-        fork, _extras = snapshot.fork()
+        fork = snapshot.fork()
         for candidate in (net, fork):
             candidate.run(2.0)
         assert fork.state_digest() == net.state_digest()

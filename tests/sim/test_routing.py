@@ -357,7 +357,7 @@ class TestBitIdenticality:
         net.start_flows()
         net.run(until=1.5)
         snapshot = NetworkSnapshot(net)
-        fork, _ = snapshot.fork()
+        fork = snapshot.fork()
         source = fork.add_attack(
             PulseTrain.uniform(ms(75), mbps(25), 0.4, 8), start_time=1.5,
         )

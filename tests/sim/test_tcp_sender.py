@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.recorder import RECOVERY_KINDS, SeriesRecorder, _SenderTap
 from repro.sim.tcp import AIMDParams, TCPConfig, TCPVariant
 
 from tests.sim.tcp_harness import TCPHarness
@@ -94,11 +95,16 @@ class TestFastRetransmit:
 
     def test_recovery_event_recorded(self):
         h = TCPHarness(make_config(initial_cwnd=10.0))
+        ring = SeriesRecorder(
+            "tcp.recovery",
+            ("time", "flow_id", "kind", "cwnd", "ssthresh", "rto"))
+        h.sender.telemetry = _SenderTap(ring)
         h.drop_seqs({5})
         h.start()
         h.run(2.0)
-        kinds = [kind for _, kind in h.sender.recovery_events]
-        assert kinds == ["fr"]
+        series = ring.as_series()
+        assert list(series.column("kind")) == [RECOVERY_KINDS["fr"]]
+        assert list(series.column("flow_id")) == [h.sender.flow_id]
 
     def test_custom_decrease_factor(self):
         h = TCPHarness(make_config(

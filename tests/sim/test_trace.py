@@ -1,4 +1,4 @@
-"""Rate/drop/queue tracing instruments."""
+"""Observation: a link's arrival and drop taps, and the binned rate series."""
 
 import numpy as np
 import pytest
@@ -7,113 +7,102 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
-from repro.sim.trace import DropMonitor, QueueSampler, RateMonitor
+from repro.sim.trace import RateMonitor
 
 
 def make_packet(kind=PacketKind.DATA, size=1000.0, flow_id=0):
     return Packet(kind, flow_id=flow_id, src=0, dst=1, size_bytes=size)
 
 
+def row(time, size, attack=False):
+    """One arrival-tap row: ``(time, queue_bytes, queue_packets,
+    signed_size)``, the size negated for attack packets."""
+    return (time, 0.0, 0, -size if attack else size)
+
+
+def make_link(sim, rate_bps=1e3, queue_bytes=1000):
+    a, b = Node(sim, 0), Node(sim, 1)
+    link = Link(sim, a, b, rate_bps=rate_bps, delay=0.0,
+                queue=DropTailQueue(queue_bytes))
+    b.register_agent(0, lambda p: None)
+    b.register_agent(3, lambda p: None)
+    return link
+
+
 class TestRateMonitor:
     def test_bins_bytes_by_time(self):
         monitor = RateMonitor(bin_width=1.0, horizon=5.0)
-        monitor.observe(make_packet(size=100), 0.5, True)
-        monitor.observe(make_packet(size=200), 0.7, True)
-        monitor.observe(make_packet(size=300), 3.2, True)
+        monitor.ingest([row(0.5, 100), row(0.7, 200), row(3.2, 300)])
         assert list(monitor.bytes_per_bin) == [300.0, 0.0, 0.0, 300.0, 0.0]
 
     def test_attack_bytes_separated(self):
         monitor = RateMonitor(bin_width=1.0, horizon=2.0)
-        monitor.observe(make_packet(size=100), 0.1, True)
-        monitor.observe(make_packet(PacketKind.ATTACK, size=500), 0.2, True)
+        monitor.ingest([row(0.1, 100), row(0.2, 500, attack=True)])
         assert monitor.attack_bytes_per_bin[0] == 500.0
         assert monitor.legit_bytes_per_bin[0] == 100.0
 
-    def test_counts_dropped_by_default(self):
+    def test_counts_dropped_by_default(self, sim):
+        # Offered load: the tap sees every arrival, dropped or not.
+        link = make_link(sim)
+        rows = []
+        link.arrival_tap = rows.append
+        for _ in range(3):
+            link.send(make_packet(size=1000))
+        assert link.packets_dropped == 2
         monitor = RateMonitor(bin_width=1.0, horizon=1.0)
-        monitor.observe(make_packet(size=100), 0.1, False)
-        assert monitor.bytes_per_bin[0] == 100.0
-
-    def test_carried_load_mode(self):
-        monitor = RateMonitor(bin_width=1.0, horizon=1.0, count_dropped=False)
-        monitor.observe(make_packet(size=100), 0.1, False)
-        monitor.observe(make_packet(size=100), 0.2, True)
-        assert monitor.bytes_per_bin[0] == 100.0
+        monitor.ingest(rows)
+        assert monitor.bytes_per_bin[0] == 3000.0
 
     def test_out_of_horizon_ignored(self):
         monitor = RateMonitor(bin_width=1.0, horizon=2.0)
-        monitor.observe(make_packet(size=100), 5.0, True)
-        monitor.observe(make_packet(size=100), -1.0, True)
+        monitor.ingest([row(5.0, 100), row(-1.0, 100)])
         assert monitor.bytes_per_bin.sum() == 0.0
 
     def test_rate_bps_conversion(self):
         monitor = RateMonitor(bin_width=0.5, horizon=1.0)
-        monitor.observe(make_packet(size=1000), 0.1, True)
+        monitor.ingest([row(0.1, 1000)])
         assert monitor.rate_bps()[0] == pytest.approx(16_000.0)
 
     def test_times_are_bin_centres(self):
         monitor = RateMonitor(bin_width=1.0, horizon=3.0)
         assert list(monitor.times) == [0.5, 1.5, 2.5]
 
+    def test_sums_equal_adding_in_arrival_order(self):
+        rng = np.random.default_rng(5)
+        times = rng.uniform(0.0, 2.0, 500)
+        sizes = rng.uniform(40.0, 1500.0, 500)
+        attack = rng.random(500) < 0.3
+        monitor = RateMonitor(bin_width=0.25, horizon=2.0)
+        monitor.ingest([row(t, s, a) for t, s, a in zip(times, sizes, attack)])
+        total = [0.0] * monitor.n_bins
+        attacked = [0.0] * monitor.n_bins
+        for t, s, a in zip(times.tolist(), sizes.tolist(), attack.tolist()):
+            total[int(t / 0.25)] += s
+            if a:
+                attacked[int(t / 0.25)] += s
+        assert monitor.bytes_per_bin.tolist() == total
+        assert monitor.attack_bytes_per_bin.tolist() == attacked
 
-class TestDropMonitor:
-    def test_records_only_drops(self):
-        monitor = DropMonitor()
-        monitor.observe(make_packet(), 1.0, True)
-        monitor.observe(make_packet(flow_id=3), 2.0, False)
-        assert monitor.total_drops == 1
-        assert monitor.records[0] == (2.0, 3, False)
-
-    def test_attack_vs_legit_split(self):
-        monitor = DropMonitor()
-        monitor.observe(make_packet(PacketKind.ATTACK), 1.0, False)
-        monitor.observe(make_packet(PacketKind.DATA), 2.0, False)
-        assert monitor.attack_drops == 1
-        assert monitor.legit_drops == 1
-
-    def test_counters_stay_consistent_mid_run(self):
-        """The O(1) running counters agree with the records at any point."""
-        monitor = DropMonitor()
-        kinds = [PacketKind.ATTACK, PacketKind.DATA, PacketKind.ATTACK,
-                 PacketKind.ACK, PacketKind.ATTACK, PacketKind.CBR]
-        for i, kind in enumerate(kinds):
-            monitor.observe(make_packet(kind), float(i), False)
-            expected_attack = sum(
-                1 for _, _, is_attack in monitor.records if is_attack
-            )
-            assert monitor.attack_drops == expected_attack
-            assert monitor.legit_drops == monitor.total_drops - expected_attack
-
-    def test_drop_times_filter(self):
-        monitor = DropMonitor()
-        monitor.observe(make_packet(PacketKind.ATTACK), 1.0, False)
-        monitor.observe(make_packet(PacketKind.DATA), 2.0, False)
-        assert list(monitor.drop_times(legit_only=True)) == [2.0]
-        assert list(monitor.drop_times()) == [1.0, 2.0]
+    def test_empty_rows(self):
+        monitor = RateMonitor(bin_width=1.0, horizon=2.0)
+        monitor.ingest([])
+        assert list(monitor.bytes_per_bin) == [0.0, 0.0]
 
 
-class TestQueueSampler:
-    def test_periodic_samples(self, sim):
-        a, b = Node(sim, 0), Node(sim, 1)
-        link = Link(sim, a, b, rate_bps=1e4, delay=0.0,
-                    queue=DropTailQueue(100_000))
-        b.register_agent(0, lambda p: None)
-        sampler = QueueSampler(link, interval=0.1, horizon=1.0)
-        sampler.start()
-        # Three packets: at 10 kb/s a 1000 B packet takes 0.8 s to send.
-        for _ in range(3):
-            link.send(make_packet(size=1000))
-        sim.run(until=1.1)
-        times, qbytes, qpkts = sampler.as_arrays()
-        assert len(times) >= 10
-        # The t=0 sample was taken before the sends; from t=0.1 on all
-        # three are buffered (the first departs at 0.8 s).
-        assert qpkts[1] == 3
-        assert qpkts[-1] <= 2      # some drained by t = 1
+class TestDropTap:
+    def test_records_only_drops(self, sim):
+        link = make_link(sim)
+        drops = []
+        link.drop_tap = drops.append
+        link.send(make_packet())
+        link.send(make_packet(flow_id=3))
+        assert [(t, p.flow_id) for t, p in drops] == [(0.0, 3)]
 
-    def test_empty_sampler(self, sim):
-        a, b = Node(sim, 0), Node(sim, 1)
-        link = Link(sim, a, b, 1e6, 0.0)
-        sampler = QueueSampler(link)
-        times, qbytes, qpkts = sampler.as_arrays()
-        assert len(times) == 0
+    def test_attack_vs_legit_split(self, sim):
+        link = make_link(sim)
+        drops = []
+        link.drop_tap = drops.append
+        link.send(make_packet())
+        link.send(make_packet(PacketKind.ATTACK))
+        link.send(make_packet(PacketKind.DATA))
+        assert [p.is_attack for _, p in drops] == [True, False]

@@ -1,18 +1,22 @@
-"""Edge cases for the tracing instruments (horizon boundaries, partial
-final bins, and monitors attached while a run is in flight)."""
+"""Edge cases for the binned rate series and the link taps (horizon
+boundaries, partial final bins, and taps set while a run is in flight)."""
 
-import numpy as np
 import pytest
 
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
-from repro.sim.trace import DropMonitor, QueueSampler, RateMonitor
+from repro.sim.trace import RateMonitor
 
 
-def make_packet(kind=PacketKind.DATA, size=1000.0, flow_id=0):
-    return Packet(kind, flow_id=flow_id, src=0, dst=1, size_bytes=size)
+def make_packet(size=1000.0):
+    return Packet(PacketKind.DATA, flow_id=0, src=0, dst=1, size_bytes=size)
+
+
+def row(time, size):
+    """A legitimate packet's arrival-tap row."""
+    return (time, 0.0, 0, size)
 
 
 def make_link(sim, rate_bps=1e4, queue_bytes=100_000):
@@ -27,17 +31,17 @@ class TestRateMonitorBoundaries:
     def test_arrival_exactly_at_horizon_is_excluded(self):
         # t == horizon indexes one past the last bin: [0, horizon) window.
         monitor = RateMonitor(bin_width=1.0, horizon=5.0)
-        monitor.observe(make_packet(size=100), 5.0, True)
+        monitor.ingest([row(5.0, 100)])
         assert monitor.bytes_per_bin.sum() == 0.0
 
     def test_arrival_just_inside_horizon_lands_in_last_bin(self):
         monitor = RateMonitor(bin_width=1.0, horizon=5.0)
-        monitor.observe(make_packet(size=100), 4.999999, True)
+        monitor.ingest([row(4.999999, 100)])
         assert monitor.bytes_per_bin[-1] == 100.0
 
     def test_arrival_exactly_on_bin_edge_goes_to_later_bin(self):
         monitor = RateMonitor(bin_width=1.0, horizon=3.0)
-        monitor.observe(make_packet(size=100), 1.0, True)
+        monitor.ingest([row(1.0, 100)])
         assert list(monitor.bytes_per_bin) == [0.0, 100.0, 0.0]
 
     def test_partial_final_bin_from_non_divisible_horizon(self):
@@ -46,7 +50,7 @@ class TestRateMonitorBoundaries:
         # bin, and arrivals in the partial tail are still captured.
         monitor = RateMonitor(bin_width=1.0, horizon=2.5)
         assert monitor.n_bins == 3
-        monitor.observe(make_packet(size=100), 2.25, True)
+        monitor.ingest([row(2.25, 100)])
         assert monitor.bytes_per_bin[-1] == 100.0
         assert len(monitor.times) == 3
 
@@ -59,89 +63,38 @@ class TestRateMonitorBoundaries:
         # Rates always normalize by the nominal bin width, even for the
         # partial tail bin -- documented behaviour the figures rely on.
         monitor = RateMonitor(bin_width=1.0, horizon=2.5)
-        monitor.observe(make_packet(size=1000), 2.25, True)
+        monitor.ingest([row(2.25, 1000)])
         assert monitor.rate_bps()[-1] == pytest.approx(8000.0)
 
     def test_attached_mid_run_sees_only_later_arrivals(self, sim):
         link = make_link(sim, rate_bps=1e6)
-        monitor = RateMonitor(bin_width=1.0, horizon=4.0)
+        rows = []
         sim.schedule(0.5, lambda: link.send(make_packet(size=100)))
-        # Attach at t=2, after the first packet has come and gone.
-        sim.schedule(2.0, lambda: link.monitors.append(monitor.observe))
+        # Tap at t=2, after the first packet has come and gone.
+        sim.schedule(2.0, lambda: setattr(link, "arrival_tap", rows.append))
         sim.schedule(2.5, lambda: link.send(make_packet(size=200)))
         sim.run()
+        monitor = RateMonitor(bin_width=1.0, horizon=4.0)
+        monitor.ingest(rows)
         assert list(monitor.bytes_per_bin) == [0.0, 0.0, 200.0, 0.0]
 
 
-class TestQueueSamplerBoundaries:
-    def test_tick_exactly_at_horizon_still_samples(self, sim):
-        link = make_link(sim)
-        sampler = QueueSampler(link, interval=0.25, horizon=1.0)
-        sampler.start()
-        sim.run(until=2.0)
-        times = sampler.as_arrays()[0]
-        # Ticks at 0, .25, .5, .75, 1.0 -- the guard is now > horizon,
-        # so the tick landing exactly on the horizon is included.
-        assert list(times) == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_no_samples_past_horizon(self, sim):
-        link = make_link(sim)
-        sampler = QueueSampler(link, interval=0.3, horizon=1.0)
-        sampler.start()
-        sim.run(until=2.0)
-        times = sampler.as_arrays()[0]
-        assert times.max() <= 1.0
-        # Sampling stops permanently: no events left in the calendar.
-        assert len(times) == 4  # 0, 0.3, 0.6, 0.9
-
-    def test_started_mid_run_samples_from_now(self, sim):
-        link = make_link(sim)
-        sampler = QueueSampler(link, interval=0.5, horizon=2.0)
-        sim.schedule(1.2, sampler.start)
-        for _ in range(3):
-            link.send(make_packet(size=1000))
-        sim.run(until=3.0)
-        times, qbytes, qpkts = sampler.as_arrays()
-        assert list(times) == [1.2, 1.7]
-        # At 10 kb/s the three 1000 B packets have all departed by t=2.4;
-        # at 1.2 s two are still queued behind the one on the wire.
-        assert qpkts[0] == 2
-
-    def test_empty_as_arrays_shapes(self, sim):
-        link = make_link(sim)
-        sampler = QueueSampler(link, interval=0.1, horizon=1.0)
-        times, qbytes, qpkts = sampler.as_arrays()
-        assert times.shape == qbytes.shape == qpkts.shape == (0,)
-
-
-class TestDropMonitorMidRun:
+class TestDropTapMidRun:
     def test_attached_mid_run_counts_only_later_drops(self, sim):
         # Queue of one packet: back-to-back sends overflow immediately.
         link = make_link(sim, rate_bps=1e3, queue_bytes=1000)
-        monitor = DropMonitor()
+        drops = []
 
         def burst():
             for _ in range(3):
                 link.send(make_packet(size=1000))
 
-        burst()  # two drops before the monitor exists (buffer fits one)
-        sim.schedule(1.0, lambda: link.monitors.append(monitor.observe))
+        burst()  # two drops before the tap is set (buffer fits one)
+        sim.schedule(1.0, lambda: setattr(link, "drop_tap", drops.append))
         # At t=2 the first packet (8 s serialization at 1 kb/s) still holds
         # the link and the buffer is full, so the whole second burst drops.
         sim.schedule(2.0, burst)
         sim.run()
         assert link.packets_dropped == 5
-        assert monitor.total_drops == 3
-        assert all(t >= 2.0 for t in monitor.drop_times())
-
-    def test_counters_match_records_after_mixed_traffic(self, sim):
-        link = make_link(sim, rate_bps=1e3, queue_bytes=1000)
-        monitor = DropMonitor()
-        link.monitors.append(monitor.observe)
-        for kind in (PacketKind.DATA, PacketKind.ATTACK, PacketKind.ATTACK):
-            link.send(make_packet(kind, size=1000))
-        sim.run()
-        assert monitor.total_drops == 2
-        assert monitor.attack_drops + monitor.legit_drops == monitor.total_drops
-        assert monitor.attack_drops == sum(
-            1 for _, _, is_attack in monitor.records if is_attack)
+        assert len(drops) == 3
+        assert all(t >= 2.0 for t, _ in drops)
