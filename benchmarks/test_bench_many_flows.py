@@ -130,20 +130,23 @@ def _run_scenario(scheduler):
 
 def _churn(scheduler, depth, events):
     """Hold-depth churn: every dispatch reschedules itself ~0.5-1s out."""
-    sim = Simulator(scheduler=scheduler)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "AUTO_CALENDAR_DEPTH", PINNED_DEPTH[scheduler])
+        sim = Simulator()
 
-    def fire(i, gap):
-        sim._push_transient(sim._now + gap, fire, (i, gap))
+        def fire(i, gap):
+            sim._push_transient(sim._now + gap, fire, (i, gap))
 
-    for i in range(depth):
-        gap = 0.5 + ((i * 2654435761) % 1000) / 2000.0
-        sim.schedule(gap * ((i % 97) + 1) / 97.0, fire, i, gap)
-    started = time.perf_counter()
-    try:
-        sim.run(max_events=events)
-    except SimulationError:
-        pass  # the budget stop is the intended exit
-    return events / (time.perf_counter() - started)
+        for i in range(depth):
+            gap = 0.5 + ((i * 2654435761) % 1000) / 2000.0
+            sim.schedule(gap * ((i % 97) + 1) / 97.0, fire, i, gap)
+        assert sim.scheduler == scheduler
+        started = time.perf_counter()
+        try:
+            sim.run(max_events=events)
+        except SimulationError:
+            pass  # the budget stop is the intended exit
+        return events / (time.perf_counter() - started)
 
 
 def _bench_scenario():

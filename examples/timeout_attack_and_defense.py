@@ -20,19 +20,17 @@ Run:  python examples/timeout_attack_and_defense.py
 
 from repro.core import plan_timeout_attack
 from repro.sim import DumbbellConfig, TCPConfig, TCPVariant, build_dumbbell
-from repro.sim.topology import make_choke_queue, make_red_queue
 from repro.util.units import mbps
 
 WARMUP, WINDOW = 6.0, 25.0
 
 
-def measure(train, *, rto_jitter=0.0, queue_factory=make_red_queue,
-            n_flows=15, seed=5):
+def measure(train, *, rto_jitter=0.0, queue="red", n_flows=15, seed=5):
     """Goodput (bits/s) of the victims during the attack window."""
     tcp = TCPConfig(variant=TCPVariant.NEWRENO, delayed_ack=2, min_rto=1.0,
                     rto_jitter=rto_jitter)
     net = build_dumbbell(DumbbellConfig(
-        n_flows=n_flows, tcp=tcp, seed=seed, queue_factory=queue_factory,
+        n_flows=n_flows, tcp=tcp, seed=seed, queue=queue,
     ))
     net.start_flows()
     net.run(until=WARMUP)
@@ -61,7 +59,7 @@ def main() -> None:
           f"(Gamma = {1 - attacked / baseline:.2f})")
 
     with_jitter = measure(train, rto_jitter=0.5)
-    with_choke = measure(train, queue_factory=make_choke_queue)
+    with_choke = measure(train, queue="choke")
     print("\ndefenses against the timeout-based attack:")
     print(f"  randomized RTO (+-50%):  {with_jitter / 1e6:6.2f} Mb/s "
           f"({(with_jitter / attacked - 1):+.0%} vs undefended)")

@@ -13,6 +13,7 @@ this library's own analysis stack, as demonstrated here:
 Run:  python examples/trace_analysis.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -27,21 +28,22 @@ BIN = 0.1
 
 
 def main() -> None:
-    # -- 1. run and trace ---------------------------------------------
-    trace_path = tempfile.mktemp(suffix=".tr", prefix="pdos_")
-    writer = TraceWriter.to_path(trace_path)
-    net = build_dumbbell(DumbbellConfig(n_flows=15, seed=8))
-    writer.attach(net.bottleneck)
+    # -- 1. run and trace (the directory goes when the block ends) -----
+    with tempfile.TemporaryDirectory(prefix="pdos_") as tmp:
+        trace_path = os.path.join(tmp, "bottleneck.tr")
+        writer = TraceWriter.to_path(trace_path)
+        net = build_dumbbell(DumbbellConfig(n_flows=15, seed=8))
+        writer.attach(net.bottleneck)
 
-    train = PulseTrain.uniform(ms(100), mbps(30), ms(400), n_pulses=60)
-    net.start_flows()
-    net.add_attack(train, start_time=3.0).start()
-    net.run(until=HORIZON)
-    writer.close()
-    print(f"wrote {writer.lines_written} trace lines to {trace_path}")
+        train = PulseTrain.uniform(ms(100), mbps(30), ms(400), n_pulses=60)
+        net.start_flows()
+        net.add_attack(train, start_time=3.0).start()
+        net.run(until=HORIZON)
+        writer.close()
+        print(f"wrote {writer.lines_written} trace lines to {trace_path}")
 
-    # -- 2. reload and rebuild the traffic series ----------------------
-    records = read_trace(trace_path)
+        # -- 2. reload and rebuild the traffic series ------------------
+        records = read_trace(trace_path)
     n_bins = int(HORIZON / BIN)
     series = np.zeros(n_bins)
     drops_per_bin = np.zeros(n_bins)

@@ -85,11 +85,9 @@ def DumbbellPlatform(*, n_flows: int = 15, queue: str = "red",
     )
 
 
-def TestbedPlatform(*, n_flows: int = 10, use_red: bool = True,
-                    seed: int = 7) -> PlatformSpec:
-    """The Dummynet test-bed environment (Fig. 12), Linux stack."""
-    return PlatformSpec(kind="testbed", n_flows=n_flows, seed=seed,
-                        use_red=use_red)
+def TestbedPlatform(*, n_flows: int = 10, seed: int = 7) -> PlatformSpec:
+    """The Dummynet test-bed environment (Fig. 12): RED pipe, Linux stack."""
+    return PlatformSpec(kind="testbed", n_flows=n_flows, seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -55,8 +55,7 @@ class TestbedFigure:
         return "\n".join(parts)
 
 
-def run_fig12(*, gammas=None, n_flows: int = 10,
-              use_red: bool = True) -> TestbedFigure:
+def run_fig12(*, gammas=None, n_flows: int = 10) -> TestbedFigure:
     """Reproduce Fig. 12 on the Dummynet test-bed emulation."""
     if gammas is None:
         gammas = default_gammas()
@@ -64,7 +63,7 @@ def run_fig12(*, gammas=None, n_flows: int = 10,
     # share the single no-attack baseline cell.
     plans = [
         plan_gain_sweep(
-            TestbedPlatform(n_flows=n_flows, use_red=use_red, seed=42),
+            TestbedPlatform(n_flows=n_flows, seed=42),
             rate_bps=rate,
             extent=TESTBED_EXTENT,
             gammas=gammas,

@@ -39,8 +39,9 @@ from repro.sim.topology import (
     ParkingLotConfig,
     build_dumbbell,
     build_parking_lot,
+    check_queue,
 )
-from repro.testbed.dummynet import TestbedConfig, build_testbed
+from repro.testbed.dummynet import PIPE_QUEUES, TestbedConfig, build_testbed
 from repro.util.errors import ValidationError
 from repro.util.validate import check_non_negative, check_positive
 
@@ -74,11 +75,18 @@ _BUILDERS = {
     "testbed": build_testbed,
 }
 
+#: Platform kind -> the queue names its bottleneck accepts.
+_QUEUES = {
+    "dumbbell": QUEUE_FACTORIES,
+    "parking_lot": QUEUE_FACTORIES,
+    "testbed": PIPE_QUEUES,
+}
+
 #: ParkingLotConfig fields a spec's ``extra`` may set: every field but
 #: the ones :meth:`PlatformSpec.to_config` fills from the spec itself.
 _EXTRA_FIELDS = frozenset(
     field.name for field in dataclasses.fields(ParkingLotConfig)
-) - {"long_flows", "queue_factory", "tcp", "seed"}
+) - {"long_flows", "queue", "tcp", "seed"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,9 +108,13 @@ class PlatformSpec:
         n_flows: victim TCP flow count (the *long* flows on the
             parking lot).
         seed: the scenario seed (flow-start jitter, RED coin flips).
-        queue: bottleneck discipline name (dumbbell / parking lot);
-            one of :data:`repro.sim.topology.QUEUE_FACTORIES`.
-        use_red: RED vs drop-tail pipe (testbed only).
+        queue: the bottleneck discipline's name, the one knob for it on
+            every kind: one of :data:`repro.sim.topology.QUEUE_FACTORIES`
+            (``"red"``, ``"droptail"``, ``"choke"``) on the dumbbell and
+            the parking lot, one of
+            :data:`repro.testbed.dummynet.PIPE_QUEUES` (``"red"``,
+            ``"droptail"``) on the test-bed.  Any other name raises
+            :class:`ValidationError` when the spec is made.
         tcp: the victim stack; ``None`` selects the platform's stock
             configuration.
         extra: additional :class:`~repro.sim.topology.ParkingLotConfig`
@@ -117,7 +129,6 @@ class PlatformSpec:
     n_flows: int
     seed: int
     queue: str = "red"
-    use_red: bool = True
     tcp: Optional[TCPConfig] = None
     extra: Optional[Tuple[Tuple[str, object], ...]] = None
 
@@ -127,11 +138,7 @@ class PlatformSpec:
                 f"kind must be 'dumbbell', 'testbed', or 'parking_lot', "
                 f"got {self.kind!r}"
             )
-        if self.kind != "testbed" and self.queue not in QUEUE_FACTORIES:
-            raise ValidationError(
-                f"queue must be one of {sorted(QUEUE_FACTORIES)}, "
-                f"got {self.queue!r}"
-            )
+        check_queue(self.queue, _QUEUES[self.kind])
         if self.extra is not None:
             if self.kind != "parking_lot":
                 raise ValidationError(
@@ -169,20 +176,20 @@ class PlatformSpec:
         if self.kind == "dumbbell":
             return DumbbellConfig(
                 n_flows=self.n_flows,
-                queue_factory=QUEUE_FACTORIES[self.queue],
+                queue=self.queue,
                 tcp=self.tcp if self.tcp is not None else TCPConfig(),
                 seed=self.seed,
             )
         if self.kind == "parking_lot":
             return ParkingLotConfig(
                 long_flows=self.n_flows,
-                queue_factory=QUEUE_FACTORIES[self.queue],
+                queue=self.queue,
                 tcp=self.tcp if self.tcp is not None else TCPConfig(),
                 seed=self.seed,
                 **self._extra_kwargs(),
             )
         config = TestbedConfig(
-            n_flows=self.n_flows, use_red=self.use_red, seed=self.seed,
+            n_flows=self.n_flows, queue=self.queue, seed=self.seed,
         )
         if self.tcp is not None:
             config = dataclasses.replace(config, tcp=self.tcp)
@@ -228,7 +235,9 @@ class PlatformSpec:
                 for name, value in (self.extra or ())
             ]
         else:
-            payload["use_red"] = self.use_red
+            # The test-bed's historical key: its cells keep their cache
+            # identity.
+            payload["use_red"] = self.queue == "red"
         return payload
 
 

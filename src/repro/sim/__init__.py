@@ -32,7 +32,6 @@ from repro.sim.queues import (
     CHOKeQueue,
     DropTailQueue,
     QueueDiscipline,
-    QueueState,
     REDQueue,
 )
 from repro.sim.tcp import AIMDParams, TCPConfig, TCPReceiver, TCPSender, TCPVariant
@@ -66,7 +65,6 @@ __all__ = [
     "ProfileReport",
     "PulseAttackSource",
     "QueueDiscipline",
-    "QueueState",
     "REDQueue",
     "RateMonitor",
     "ShortFlowWorkload",

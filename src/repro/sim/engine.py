@@ -24,10 +24,9 @@ bit-identical whichever backend runs):
   enqueue/dequeue.  It wins once calendar depth reaches thousands of
   entries (tens of thousands of flows keeping RTO timers pending).
 
-Selection: ``Simulator(scheduler=...)`` accepts ``"heap"``,
-``"calendar"`` or ``"auto"`` (the default).  Auto mode
-starts on the heap and migrates the whole calendar to a
-:class:`CalendarQueue` once the live depth crosses
+Selection: the live depth alone picks the backend.  Every
+:class:`Simulator` starts on the heap and migrates the whole calendar
+to a :class:`CalendarQueue` once the live depth crosses
 :data:`AUTO_CALENDAR_DEPTH` (the measured crossover; see DESIGN.md).
 Migration happens only between run segments / outside the dispatch
 loop, preserves every pending entry, and never changes dispatch order.
@@ -72,22 +71,19 @@ from repro.util.errors import SimulationError
 
 __all__ = ["Event", "Simulator", "HeapScheduler", "CalendarQueue",
            "total_events_dispatched", "scheduler_builds",
-           "AUTO_CALENDAR_DEPTH", "SCHEDULER_CHOICES"]
+           "AUTO_CALENDAR_DEPTH"]
 
 #: Process-wide count of events dispatched across every Simulator; the
 #: profiling instrumentation (:mod:`repro.sim.profile`) reads this to
 #: compute events/sec for experiments that build simulators internally.
 _TOTAL_DISPATCHED = 0
 
-#: Process-wide backend usage: how many Simulators selected each
-#: backend (auto-migrations count toward "calendar" as well), so a
-#: profile report can state which structure actually ran.
+#: Process-wide backend usage: every Simulator counts toward "heap",
+#: and each migration toward "calendar", so a profile report can state
+#: which structure actually ran.
 _SCHEDULER_BUILDS = {"heap": 0, "calendar": 0}
 
-#: Valid values for ``Simulator(scheduler=...)``.
-SCHEDULER_CHOICES = ("heap", "calendar", "auto")
-
-#: Live-depth crossover at which auto mode migrates heap -> calendar.
+#: Live-depth crossover at which a simulator migrates heap -> calendar.
 #: Measured on full dumbbell scenarios (see DESIGN.md "Scheduler
 #: backends"): the heap wins below ~3k live entries (2k-flow dumbbell:
 #: calendar at 0.9x), the backends cross between 4k and 6k, and the
@@ -592,29 +588,19 @@ class Simulator:
     past raises :class:`SimulationError` (a zero delay is allowed and
     fires after all previously scheduled events at the same timestamp).
 
-    Args:
-        scheduler: calendar backend -- ``"heap"``, ``"calendar"``, or
-            ``"auto"`` (heap until :data:`AUTO_CALENDAR_DEPTH` live
-            entries, then migrate; the default).  Backends
-            dispatch the identical ``(time, seq)`` order, so results
-            are bit-identical whichever one runs.
+    Events start on the heap backend and migrate to a calendar queue
+    once more than :data:`AUTO_CALENDAR_DEPTH` live entries are pending.
+    Both backends dispatch the identical ``(time, seq)`` order, so results
+    are bit-identical whichever one runs.
     """
 
-    def __init__(self, scheduler: str = "auto") -> None:
-        if scheduler not in SCHEDULER_CHOICES:
-            raise SimulationError(
-                f"scheduler must be one of {SCHEDULER_CHOICES}, "
-                f"got {scheduler!r}"
-            )
+    def __init__(self) -> None:
         self._now = 0.0
         self._counter = itertools.count()
-        self._auto = scheduler == "auto"
-        if scheduler == "calendar":
-            self._sched: Any = CalendarQueue(self._counter)
-            _SCHEDULER_BUILDS["calendar"] += 1
-        else:
-            self._sched = HeapScheduler(self._counter)
-            _SCHEDULER_BUILDS["heap"] += 1
+        #: still on the heap, so scheduling checks the migration depth.
+        self._auto = True
+        self._sched: Any = HeapScheduler(self._counter)
+        _SCHEDULER_BUILDS["heap"] += 1
         #: rebindable fast paths: hot callers (Link.send, attack
         #: emission chains) call these bound methods directly; backend
         #: migration rebinds them.
@@ -726,7 +712,7 @@ class Simulator:
         return self._push_handle(time, fn, args)
 
     # ------------------------------------------------------------------
-    # backend migration (auto mode)
+    # backend migration
     # ------------------------------------------------------------------
     def _maybe_migrate(self) -> None:
         """Swap heap -> calendar once live depth crosses the threshold.

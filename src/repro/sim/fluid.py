@@ -143,26 +143,19 @@ class FluidResult:
 def scenario_from_config(config) -> FluidScenario:
     """Map a platform config dataclass onto the fluid model's inputs.
 
-    Accepts either a :class:`~repro.sim.topology.DumbbellConfig` or a
-    :class:`~repro.testbed.dummynet.TestbedConfig`.  RTTs and the
-    service rate come from the accessors every platform config shares
-    (``flow_rtts()``, ``contested_rate_bps()``); the buffer and the
-    early-loss flag, which only this model reads, are told apart
-    structurally (only the test-bed config has a ``pipe``) so this
-    low-level module does not import the test-bed layer.
+    Accepts a :class:`~repro.sim.topology.DumbbellConfig` or a
+    :class:`~repro.testbed.dummynet.TestbedConfig` through the accessors
+    both share: ``flow_rtts()``, ``contested_rate_bps()``,
+    ``buffer_bytes`` and the ``queue`` name.  RED and CHOKe drop early,
+    so their loss threshold is ``0.8·B``; drop-tail loses at ``B``.
     """
-    if hasattr(config, "pipe"):  # TestbedConfig
-        buffer_bytes = config.pipe.queue_bytes
-        early_loss = config.use_red
-    else:  # DumbbellConfig
-        buffer_bytes = config.buffer_bytes
-        factory_name = getattr(config.queue_factory, "__name__", "")
-        early_loss = factory_name != "make_droptail_queue"
+    buffer_bytes = config.buffer_bytes
+    loss_fraction = 1.0 if config.queue == "droptail" else 0.8
     return FluidScenario(
         rtts=tuple(float(r) for r in config.flow_rtts()),
         service_bps=config.contested_rate_bps(),
         buffer_bytes=buffer_bytes,
-        loss_threshold_bytes=(0.8 if early_loss else 1.0) * buffer_bytes,
+        loss_threshold_bytes=loss_fraction * buffer_bytes,
         tcp=config.tcp,
     )
 

@@ -23,11 +23,12 @@ from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import (
+    CHOKeQueue,
     DropTailQueue,
     QueueDiscipline,
-    QueueState,
     REDQueue,
 )
+from repro.util.errors import ValidationError
 from repro.util.validate import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +41,11 @@ __all__ = ["Link", "LinkMonitor", "BufferedPacket"]
 LinkMonitor = Callable[[Packet, float, bool], None]
 
 _ATTACK = PacketKind.ATTACK
+
+#: The disciplines a link can hold, one admission path each in
+#: :meth:`Link.send` (exact types: a subclass could override admission
+#: that the link never calls).
+_ADMISSION_TYPES = (DropTailQueue, REDQueue, CHOKeQueue)
 
 
 class BufferedPacket:
@@ -82,7 +88,11 @@ class Link:
             ``src``'s outgoing interface toward ``dst``.
         rate_bps: serialization rate in bits per second.
         delay: one-way propagation delay in seconds.
-        queue: buffer discipline; defaults to a 64 KiB drop-tail queue.
+        queue: buffer discipline -- exactly a :class:`DropTailQueue`,
+            :class:`REDQueue` or :class:`CHOKeQueue`, each with its own
+            admission path in :meth:`send`; any other type (a subclass
+            included) raises :class:`ValidationError`.  Defaults to a
+            64 KiB drop-tail queue.
         name: label used in traces and repr.
     """
 
@@ -112,6 +122,12 @@ class Link:
         self.delay = check_non_negative("delay", delay)
         self.queue = queue if queue is not None else DropTailQueue(65536.0)
         self.name = name or f"{src.node_id}->{dst.node_id}"
+        kind = type(self.queue)
+        if kind not in _ADMISSION_TYPES:
+            raise ValidationError(
+                f"queue must be a DropTailQueue, REDQueue or CHOKeQueue, "
+                f"got {kind.__name__}"
+            )
 
         # Lazy departure list: (departure_time, size_bytes) per buffered pkt
         # -- or BufferedPacket entries when the discipline inspects the
@@ -119,21 +135,17 @@ class Link:
         self._departures: Deque = deque()
         self._queued_bytes = 0.0
         self._busy_until = 0.0
-        self._track_buffer = getattr(self.queue, "needs_buffer_access", False)
+        self._track_buffer = kind is CHOKeQueue
         # Per-size serialization times, memoized with the exact
         # ``size * 8.0 / rate`` arithmetic so cached and uncached lookups
         # are bit-identical.  Traffic uses a handful of distinct sizes.
         self._tx_time: dict = {}
-        # Plain tail-drop admission needs neither a QueueState nor the
-        # idle bookkeeping; Link.send inlines it.  Exact-type check: a
-        # subclass may override admit().
-        self._fast_admit = (
-            type(self.queue) is DropTailQueue and not self._track_buffer
-        )
-        # RED admission on raw values (no QueueState) -- exact-type check
-        # so subclasses (CHOKe) keep the composed reference path.
+        # Plain tail-drop admission needs no idle bookkeeping; Link.send
+        # inlines it.
+        self._fast_admit = kind is DropTailQueue
+        # RED admission on raw values, bound once.
         self._red_admit = (
-            self.queue.admit_values if type(self.queue) is REDQueue else None
+            self.queue.admit_values if kind is REDQueue else None
         )
 
         # Statistics.
@@ -189,8 +201,8 @@ class Link:
     def sample_buffered(self, rng) -> Optional["BufferedPacket"]:
         """A uniformly random *waiting* packet (in-service head excluded).
 
-        Only available on links whose discipline sets
-        ``needs_buffer_access``; returns None when nothing is waiting.
+        Only available on links holding a :class:`CHOKeQueue`; returns
+        None when nothing is waiting.
         """
         if not self._track_buffer or len(self._departures) < 2:
             return None
@@ -258,8 +270,8 @@ class Link:
 
         This is the per-packet hot path (every hop of every packet lands
         here), so departed-entry expiry is fused in, the drop-tail admit
-        check is inlined without building a :class:`QueueState`, and the
-        monitor loop is skipped when nothing is attached.
+        check is inlined on the raw occupancy, and the monitor loop is
+        skipped when nothing is attached.
         """
         sim = self.sim
         now = sim._now
@@ -277,7 +289,7 @@ class Link:
         self._queued_bytes = queued
 
         if self._fast_admit:
-            # Inlined DropTailQueue.admit: fits-or-drop on raw occupancy.
+            # Drop-tail admission: fits-or-drop on raw occupancy.
             if queued + size <= queue.capacity_bytes:
                 queue.accepts += 1
                 accepted = True
@@ -296,12 +308,10 @@ class Link:
                 accepted = red_admit(
                     size, queued, len(departures), now, idle_since,
                 )
-            elif self._track_buffer:
-                state = QueueState(queued, len(departures), now, idle_since)
-                accepted = self.queue.admit_with_link(packet, state, self)
-            else:
-                state = QueueState(queued, len(departures), now, idle_since)
-                accepted = self.queue.admit(size, state)
+            else:  # CHOKe
+                accepted = queue.admit_with_link(
+                    packet, queued, len(departures), now, idle_since, self,
+                )
 
         tap = self.arrival_tap
         if tap is not None:

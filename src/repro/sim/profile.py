@@ -42,8 +42,9 @@ class ProfileReport:
     calls_profiled: int
     top_functions: str
     #: simulators built per scheduler backend during the workload
-    #: (``(("heap", 3), ("calendar", 1))``); auto-mode migrations count
-    #: toward "calendar" too, so the line names the structure that ran.
+    #: (``(("heap", 3), ("calendar", 1))``); heap-to-calendar
+    #: migrations count toward "calendar" too, so the line names the
+    #: structure that ran.
     scheduler_builds: Tuple[Tuple[str, int], ...] = ()
 
     @property

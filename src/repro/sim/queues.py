@@ -1,15 +1,19 @@
-"""Queue disciplines: DropTail and RED.
+"""Queue disciplines: DropTail, RED and CHOKe.
 
 The paper's bottleneck router runs RED (ns-2's implementation, with
 ``gentle_ = true`` in the test-bed); the conclusion also compares against
-drop-tail.  Both disciplines are implemented here.
+drop-tail, and CHOKe stands in for the RED enhancements it points to.
 
 Design note: the :class:`~repro.sim.link.Link` owns the physical FIFO and
 its timing; a discipline only decides *accept or drop* for each arriving
 packet, given the instantaneous queue state.  This mirrors the split in
 ns-2 between ``Queue`` buffering and the RED early-drop logic, and it
 lets the link use a lazy departure list (one event per packet) instead of
-a per-dequeue event.
+a per-dequeue event.  A link holds exactly one of these three classes
+and takes one admission path per class: drop-tail's fits-or-drop is
+inlined in :meth:`~repro.sim.link.Link.send`, RED runs
+:meth:`REDQueue.admit_values`, and CHOKe runs
+:meth:`CHOKeQueue.admit_with_link`, all on the link's raw occupancy.
 """
 
 from __future__ import annotations
@@ -18,31 +22,9 @@ import random
 from typing import Optional
 
 from repro.util.errors import ValidationError
-from repro.util.validate import check_non_negative, check_positive, check_probability
+from repro.util.validate import check_positive, check_probability
 
-__all__ = ["QueueDiscipline", "DropTailQueue", "REDQueue", "CHOKeQueue", "QueueState"]
-
-
-class QueueState:
-    """Instantaneous queue state handed to a discipline on each arrival.
-
-    Attributes:
-        queue_bytes: bytes buffered (including the packet in transmission).
-        queue_pkts: packets buffered (including the packet in transmission).
-        now: current simulation time.
-        idle_since: when the queue last went empty, or ``None`` if it is
-            non-empty now.  RED uses this to decay its average over idle
-            periods.
-    """
-
-    __slots__ = ("queue_bytes", "queue_pkts", "now", "idle_since")
-
-    def __init__(self, queue_bytes: float, queue_pkts: int, now: float,
-                 idle_since: Optional[float]) -> None:
-        self.queue_bytes = queue_bytes
-        self.queue_pkts = queue_pkts
-        self.now = now
-        self.idle_since = idle_since
+__all__ = ["QueueDiscipline", "DropTailQueue", "REDQueue", "CHOKeQueue"]
 
 
 class QueueDiscipline:
@@ -51,12 +33,6 @@ class QueueDiscipline:
     #: Physical buffer size in bytes; arrivals that would exceed it are
     #: dropped regardless of the discipline's early-drop logic.
     capacity_bytes: float
-
-    #: Disciplines that inspect or evict buffered packets (e.g. CHOKe's
-    #: match-and-drop) set this True; the link then tracks per-packet
-    #: flow ids and calls :meth:`admit_with_link` instead of
-    #: :meth:`admit`.
-    needs_buffer_access = False
 
     def __init__(self, capacity_bytes: float) -> None:
         self.capacity_bytes = check_positive("capacity_bytes", capacity_bytes)
@@ -93,30 +69,13 @@ class QueueDiscipline:
         """
         return (self.accepts, self.drops, self.early_drops)
 
-    def admit(self, pkt_bytes: float, state: QueueState) -> bool:
-        """Return True to enqueue the packet, False to drop it."""
-        raise NotImplementedError
-
-    def admit_with_link(self, packet, state: QueueState, link) -> bool:
-        """Buffer-aware admission (only called when
-        :attr:`needs_buffer_access` is True).  *link* exposes
-        ``sample_buffered(rng)`` and ``evict(entry)``."""
-        raise NotImplementedError
-
-    # shared helper -----------------------------------------------------
-    def _fits(self, pkt_bytes: float, state: QueueState) -> bool:
-        return state.queue_bytes + pkt_bytes <= self.capacity_bytes
-
 
 class DropTailQueue(QueueDiscipline):
-    """Plain FIFO tail-drop buffer of a fixed byte capacity."""
+    """Plain FIFO tail-drop buffer of a fixed byte capacity.
 
-    def admit(self, pkt_bytes: float, state: QueueState) -> bool:
-        if self._fits(pkt_bytes, state):
-            self.accepts += 1
-            return True
-        self.drops += 1
-        return False
+    :meth:`~repro.sim.link.Link.send` makes the fits-or-drop decision
+    inline on the link's raw occupancy.
+    """
 
 
 class REDQueue(QueueDiscipline):
@@ -191,16 +150,10 @@ class REDQueue(QueueDiscipline):
             self.avg, self.count, self.rng.getstate(),
         )
 
-    def admit(self, pkt_bytes: float, state: QueueState) -> bool:
-        return self.admit_values(
-            pkt_bytes, state.queue_bytes, state.queue_pkts, state.now,
-            state.idle_since,
-        )
-
     def admit_values(self, pkt_bytes: float, queue_bytes: float,
                      queue_pkts: int, now: float,
                      idle_since: Optional[float]) -> bool:
-        """RED admission on raw queue state, no :class:`QueueState` needed.
+        """RED admission on the link's raw queue state.
 
         The link's per-arrival hot path calls this directly: the EWMA
         update and the decision on the updated average, back to back.
@@ -305,8 +258,6 @@ class CHOKeQueue(REDQueue):
     on the wire cannot be recalled.
     """
 
-    needs_buffer_access = True
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: arrivals dropped because they matched a buffered packet.
@@ -323,10 +274,15 @@ class CHOKeQueue(REDQueue):
     def state_digest(self) -> tuple:
         return super().state_digest() + (self.match_drops, self.evictions)
 
-    def admit_with_link(self, packet, state: QueueState, link) -> bool:
-        # RED's two steps with the match-and-drop test between them.
-        avg = self._average(state.queue_bytes, state.queue_pkts, state.now,
-                            state.idle_since)
+    def admit_with_link(self, packet, queue_bytes: float, queue_pkts: int,
+                        now: float, idle_since: Optional[float],
+                        link) -> bool:
+        """RED's two steps with the match-and-drop test between them.
+
+        *link* exposes ``sample_buffered(rng)`` and ``evict(entry)``;
+        the queue values are :meth:`REDQueue.admit_values`'s.
+        """
+        avg = self._average(queue_bytes, queue_pkts, now, idle_since)
         if avg > self.min_th:
             entry = link.sample_buffered(self.rng)
             if entry is not None and entry.flow_id == packet.flow_id:
@@ -335,4 +291,4 @@ class CHOKeQueue(REDQueue):
                 self.match_drops += 1
                 self.drops += 1
                 return False
-        return self._decide(packet.size_bytes, state.queue_bytes, avg)
+        return self._decide(packet.size_bytes, queue_bytes, avg)

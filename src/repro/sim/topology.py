@@ -39,8 +39,8 @@ import dataclasses
 import functools
 import gc
 import random
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -52,22 +52,18 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import FULL_PACKET_BYTES, Packet
-from repro.sim.queues import (
-    CHOKeQueue,
-    DropTailQueue,
-    QueueDiscipline,
-    REDQueue,
-)
+from repro.sim.queues import CHOKeQueue, DropTailQueue, REDQueue
 from repro.sim.routing import GraphTopology, aimd_buffer_bytes
 from repro.sim.tcp import TCPConfig, TCPReceiver, TCPSender
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import mbps, ms
 from repro.util.validate import check_positive
 
 __all__ = ["Network", "DumbbellConfig", "DumbbellNetwork", "build_dumbbell",
            "ParkingLotConfig", "build_parking_lot",
            "make_red_queue", "make_droptail_queue", "make_choke_queue",
-           "QUEUE_FACTORIES", "FULL_PACKET_BYTES", "tcp_flows"]
+           "QUEUE_FACTORIES", "check_queue", "FULL_PACKET_BYTES",
+           "tcp_flows"]
 
 
 def _red_family_queue(cls: type, capacity_bytes: float, *,
@@ -130,6 +126,15 @@ QUEUE_FACTORIES = {
     "droptail": make_droptail_queue,
     "choke": make_choke_queue,
 }
+
+
+def check_queue(queue: str, choices: Iterable[str] = QUEUE_FACTORIES) -> None:
+    """Raise a :class:`ValidationError` naming ``queue`` unless *queue*
+    is one of *choices*."""
+    if queue not in choices:
+        raise ValidationError(
+            f"queue must be one of {sorted(choices)}, got {queue!r}"
+        )
 
 
 class gc_paused:
@@ -388,7 +393,8 @@ class DumbbellConfig:
     (about half the bandwidth-delay product at the mean RTT) -- large
     enough that a 50 ms pulse is partially absorbed (the paper's
     under-gain regime) while a 100 ms pulse overflows it (normal/over
-    gain), which is the gradient Section 4.1.1 describes.
+    gain), which is the gradient Section 4.1.1 describes.  ``queue``
+    names the bottleneck discipline, a :data:`QUEUE_FACTORIES` key.
 
     Frozen (hashable and picklable) so a config can key the experiment
     runner's result cache and ship to worker processes unchanged.
@@ -402,7 +408,7 @@ class DumbbellConfig:
     bottleneck_delay: float = ms(4)
     receiver_access_delay: float = ms(1)
     buffer_bytes: float = 180 * FULL_PACKET_BYTES
-    queue_factory: Callable[..., QueueDiscipline] = None  # type: ignore[assignment]
+    queue: str = "red"
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
@@ -417,8 +423,7 @@ class DumbbellConfig:
             raise ConfigurationError(
                 f"need 0 < rtt_min <= rtt_max, got [{self.rtt_min}, {self.rtt_max}]"
             )
-        if self.queue_factory is None:
-            object.__setattr__(self, "queue_factory", make_red_queue)
+        check_queue(self.queue)
 
     def flow_rtts(self) -> np.ndarray:
         """Per-flow propagation RTTs, evenly spread over [rtt_min, rtt_max]."""
@@ -565,8 +570,9 @@ def build_dumbbell(config: Optional[DumbbellConfig] = None) -> DumbbellNetwork:
     bottleneck = topo.add_link(
         router_s, router_r, rate_bps=cfg.bottleneck_rate_bps,
         delay=cfg.bottleneck_delay,
-        queue=cfg.queue_factory(cfg.buffer_bytes, rng=rng,
-                                service_rate_bps=cfg.bottleneck_rate_bps),
+        queue=QUEUE_FACTORIES[cfg.queue](
+            cfg.buffer_bytes, rng=rng,
+            service_rate_bps=cfg.bottleneck_rate_bps),
         name="bottleneck",
     )
     reverse_bottleneck = topo.add_link(
@@ -614,6 +620,8 @@ class ParkingLotConfig:
     ``attack_segments`` -- one segment reproduces the single-bottleneck
     question, several reproduce the converging-attack-path scenarios
     the optimal-filtering literature motivates.
+    ``queue`` names every segment's discipline, a
+    :data:`QUEUE_FACTORIES` key.
 
     Frozen (hashable and picklable) so a config can key the experiment
     runner's result cache and ship to worker processes unchanged.
@@ -631,7 +639,7 @@ class ParkingLotConfig:
     rtt_max: float = ms(460)
     buffer_beta: float = 0.5
     attack_segments: Tuple[int, ...] = (0,)
-    queue_factory: Callable[..., QueueDiscipline] = None  # type: ignore[assignment]
+    queue: str = "red"
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
@@ -680,8 +688,7 @@ class ParkingLotConfig:
             raise ConfigurationError(
                 "TCP flow ids must stay below the attack id range (10000)"
             )
-        if self.queue_factory is None:
-            object.__setattr__(self, "queue_factory", make_red_queue)
+        check_queue(self.queue)
 
     def segment_rates(self) -> Tuple[float, ...]:
         """Per-segment chain rates (resolved heterogeneous list)."""
@@ -791,8 +798,8 @@ def build_parking_lot(config: Optional[ParkingLotConfig] = None) -> Network:
         segments.append(topo.add_duplex_link(
             routers[j], routers[j + 1], rate_bps=rates[j],
             delay=cfg.segment_delay,
-            queue=cfg.queue_factory(buffer_bytes, rng=rng,
-                                    service_rate_bps=rates[j]),
+            queue=QUEUE_FACTORIES[cfg.queue](buffer_bytes, rng=rng,
+                                             service_rate_bps=rates[j]),
             queue_back=DropTailQueue(4_000_000.0),
             name=f"segment{j}",
         ))

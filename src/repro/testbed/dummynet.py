@@ -36,13 +36,17 @@ from repro.sim.engine import Simulator
 from repro.sim.queues import DropTailQueue
 from repro.sim.routing import GraphTopology
 from repro.sim.tcp import TCPConfig, TCPVariant
-from repro.sim.topology import (QUEUE_FACTORIES, Network, gc_paused,
-                                tcp_flows)
+from repro.sim.topology import (QUEUE_FACTORIES, Network, check_queue,
+                                gc_paused, tcp_flows)
 from repro.util.errors import ConfigurationError
 from repro.util.units import mbps, ms
 from repro.util.validate import check_positive
 
-__all__ = ["DummynetPipe", "TestbedConfig", "build_testbed"]
+__all__ = ["DummynetPipe", "TestbedConfig", "build_testbed", "PIPE_QUEUES"]
+
+#: The queue disciplines a Dummynet pipe offers: RED (``ipfw pipe ...
+#: red``) or plain drop-tail.
+PIPE_QUEUES = ("red", "droptail")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,6 +92,7 @@ def _linux_tcp_config() -> TCPConfig:
 class TestbedConfig:
     """Parameters of the Fig. 11 test-bed.
 
+    ``queue`` names the pipe's discipline, one of :data:`PIPE_QUEUES`.
     Frozen (hashable and picklable) so a config can key the experiment
     runner's result cache and ship to worker processes unchanged.
     """
@@ -101,13 +106,19 @@ class TestbedConfig:
     lan_rate_bps: float = mbps(100)
     lan_delay: float = ms(0.5)
     tcp: TCPConfig = dataclasses.field(default_factory=_linux_tcp_config)
-    use_red: bool = True
+    queue: str = "red"
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
             raise ConfigurationError(f"n_flows must be >= 1, got {self.n_flows}")
         check_positive("lan_rate_bps", self.lan_rate_bps)
+        check_queue(self.queue, PIPE_QUEUES)
+
+    @property
+    def buffer_bytes(self) -> float:
+        """The pipe's buffer, bytes."""
+        return self.pipe.queue_bytes
 
     def rtt(self) -> float:
         """Nominal flow RTT: the pipe delay both ways plus LAN hops."""
@@ -153,7 +164,7 @@ def build_testbed(config: Optional[TestbedConfig] = None) -> Network:
     for i, user in enumerate(users):
         lan(dummynet, user, cfg.lan_rate_bps, cfg.lan_delay,
             f"dummynet->user{i}")
-    queue = QUEUE_FACTORIES["red" if cfg.use_red else "droptail"](
+    queue = QUEUE_FACTORIES[cfg.queue](
         pipe.queue_bytes, rng=rng, service_rate_bps=pipe.bandwidth_bps,
         byte_mode=True,
     )

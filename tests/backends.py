@@ -1,10 +1,10 @@
-"""Pin the scheduler backend of scenario builds.
+"""Pin the scheduler backend of simulators.
 
-Scenario builders always construct ``Simulator()`` in auto mode, which
-migrates from the heap to the calendar queue once the live event depth
-exceeds :data:`repro.sim.engine.AUTO_CALENDAR_DEPTH`.  Patching that
-module global to a value from :data:`PINNED_DEPTH` chooses the backend
-without a builder argument.
+Every ``Simulator()`` starts on the heap and migrates to the calendar
+queue once the live event depth exceeds
+:data:`repro.sim.engine.AUTO_CALENDAR_DEPTH`.  Patching that module
+global to a value from :data:`PINNED_DEPTH` chooses the backend
+without a constructor or builder argument.
 """
 
 import math

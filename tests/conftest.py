@@ -23,9 +23,9 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def pin_backend(monkeypatch):
-    """Pin the scheduler backend of auto-mode simulators.
+    """Pin the scheduler backend of simulators still on the heap.
 
-    The pin applies to every auto-mode ``Simulator`` at its next
+    The pin applies to every such ``Simulator`` at its next
     ``schedule()`` or ``run()``, including ones built before the call
     and their forks: ``pin_backend("calendar")`` migrates a heap
     simulator to the calendar queue, and ``pin_backend("heap")`` keeps
@@ -37,6 +37,22 @@ def pin_backend(monkeypatch):
     def pin(scheduler: str) -> None:
         monkeypatch.setattr(engine, "AUTO_CALENDAR_DEPTH", PINNED_DEPTH[scheduler])
     return pin
+
+
+@pytest.fixture
+def make_sim(pin_backend):
+    """Build a simulator already on the named backend.
+
+    Pins the backend for every simulator in the test, so a test
+    finishes one backend's scheduling before it makes the other's.
+    """
+    def make(scheduler: str) -> Simulator:
+        pin_backend(scheduler)
+        sim = Simulator()
+        sim.run()  # an empty run applies the pin
+        assert sim.scheduler == scheduler
+        return sim
+    return make
 
 
 @pytest.fixture(autouse=True)

@@ -11,6 +11,7 @@ from repro.core.distributed import split_interleaved
 from repro.runner import Cell, DeploymentSpec, PlatformSpec, execute_cell
 from repro.sim.tcp import TCPConfig, TCPVariant
 from repro.obs.recorder import FlightRecorder
+from repro.sim.queues import DropTailQueue
 from repro.sim.topology import DumbbellConfig, Network
 from repro.testbed.dummynet import TestbedConfig
 from repro.util.errors import ValidationError
@@ -64,12 +65,29 @@ class TestPlatformSpec:
         assert config.tcp is tcp
 
     def test_testbed_config_carries_spec_fields(self):
-        spec = PlatformSpec(kind="testbed", n_flows=4, seed=9, use_red=False)
+        spec = PlatformSpec(kind="testbed", n_flows=4, seed=9,
+                            queue="droptail")
         config = spec.to_config()
         assert isinstance(config, TestbedConfig)
         assert config.n_flows == 4
         assert config.seed == 9
-        assert not config.use_red
+        assert config.queue == "droptail"
+
+    def test_testbed_pipe_follows_queue(self):
+        spec = PlatformSpec(kind="testbed", n_flows=2, seed=1,
+                            queue="droptail")
+        assert type(spec.build().bottleneck.queue) is DropTailQueue
+
+    @pytest.mark.parametrize("kind, queue", [
+        ("testbed", "choke"),
+        ("testbed", "nonsense"),
+        ("parking_lot", "nonsense"),
+    ])
+    def test_rejects_queue_the_platform_lacks(self, kind, queue):
+        # Dummynet pipes offer RED and drop-tail only; the parking lot
+        # takes the QUEUE_FACTORIES names.
+        with pytest.raises(ValidationError, match="queue"):
+            PlatformSpec(kind=kind, n_flows=3, seed=1, queue=queue)
 
     def test_hashable_and_picklable(self):
         spec = PlatformSpec(kind="dumbbell", n_flows=5, seed=1,
@@ -83,7 +101,8 @@ class TestPlatformSpec:
         assert "use_red" in testbed.describe()
 
     @pytest.mark.parametrize("name", [
-        "bogus", "scheduler", "long_flows", "queue_factory", "tcp", "seed",
+        "bogus", "scheduler", "long_flows", "queue_factory", "queue", "tcp",
+        "seed",
     ])
     def test_rejects_extra_the_config_cannot_take(self, name):
         # Unknown fields, and fields the spec fills itself, fail when

@@ -30,7 +30,7 @@ def warmed_dumbbell(queue="red", variant=TCPVariant.NEWRENO, *,
                     n_flows=4, warmup=2.0, seed=9):
     config = DumbbellConfig(
         n_flows=n_flows,
-        queue_factory=QUEUE_FACTORIES[queue],
+        queue=queue,
         tcp=TCPConfig(variant=variant),
         seed=seed,
     )

@@ -7,9 +7,9 @@ from repro.util.errors import SimulationError
 
 
 @pytest.fixture(params=["heap", "calendar"])
-def sim(request) -> Simulator:
+def sim(request, make_sim) -> Simulator:
     """Every engine contract must hold on both scheduler backends."""
-    return Simulator(scheduler=request.param)
+    return make_sim(request.param)
 
 
 class TestScheduling:

@@ -22,7 +22,7 @@ from repro.sim.fluid import (
     simulate_fluid,
 )
 from repro.sim.tcp import TCPConfig
-from repro.sim.topology import QUEUE_FACTORIES, DumbbellConfig
+from repro.sim.topology import DumbbellConfig
 from repro.testbed.dummynet import TestbedConfig
 from repro.util.errors import ValidationError
 from repro.util.units import mbps, ms
@@ -54,12 +54,22 @@ class TestScenarioMapping:
             0.8 * config.buffer_bytes)
 
     def test_dumbbell_droptail_uses_the_full_buffer(self):
-        config = DumbbellConfig(
-            n_flows=4, seed=0, queue_factory=QUEUE_FACTORIES["droptail"],
-        )
+        config = DumbbellConfig(n_flows=4, seed=0, queue="droptail")
         scenario = scenario_from_config(config)
         assert scenario.loss_threshold_bytes == pytest.approx(
             config.buffer_bytes)
+
+    @pytest.mark.parametrize("config, fraction", [
+        (DumbbellConfig(n_flows=4, seed=0, queue="choke"), 0.8),
+        (TestbedConfig(n_flows=3, seed=0, queue="droptail"), 1.0),
+        (TestbedConfig(n_flows=3, seed=0, queue="red"), 0.8),
+    ], ids=["dumbbell-choke", "testbed-droptail", "testbed-red"])
+    def test_loss_threshold_follows_queue(self, config, fraction):
+        # RED and CHOKe drop early; drop-tail loses at the full buffer.
+        # (The dumbbell's RED and drop-tail cases are the tests above.)
+        scenario = scenario_from_config(config)
+        assert scenario.buffer_bytes == config.buffer_bytes
+        assert scenario.loss_threshold_bytes == fraction * config.buffer_bytes
 
     def test_testbed_maps_pipe_parameters(self):
         config = TestbedConfig(n_flows=3, seed=0)

@@ -6,6 +6,7 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
+from repro.util.errors import ValidationError
 
 
 def make_packet(size=1500.0, flow_id=0, dst=1, kind=PacketKind.DATA):
@@ -123,6 +124,17 @@ class TestMonitors:
         a, b = Node(sim, 0), Node(sim, 1)
         link = Link(sim, a, b, rate_bps=1e6, delay=0.0)
         assert link.queue.capacity_bytes > 0
+
+    def test_unknown_discipline_type_rejected(self, sim):
+        # Send has one admission path per exact discipline class; a
+        # subclass could override decisions the link never calls.
+        class PatientQueue(DropTailQueue):
+            pass
+
+        a, b = Node(sim, 0), Node(sim, 1)
+        with pytest.raises(ValidationError, match="PatientQueue"):
+            Link(sim, a, b, rate_bps=1e6, delay=0.0,
+                 queue=PatientQueue(1500.0))
 
     def test_hop_counter_increments(self, sim, wire):
         link, arrivals = wire

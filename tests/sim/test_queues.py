@@ -1,43 +1,69 @@
-"""DropTail and RED queue disciplines."""
+"""DropTail and RED queue disciplines.
+
+Drop-tail admission lives in :meth:`repro.sim.link.Link.send`, so its
+tests offer packets to a link; RED's are read through
+:meth:`~repro.sim.queues.REDQueue.admit_values`, the call a link makes.
+"""
 
 import random
 
 import pytest
 
-from repro.sim.queues import DropTailQueue, QueueState, REDQueue
+from repro.sim.link import Link
+from repro.sim.node import Node
+from repro.sim.packet import Packet, PacketKind
+from repro.sim.queues import DropTailQueue, REDQueue
 from repro.util.errors import ValidationError
 
 
-def state(queue_bytes=0.0, queue_pkts=0, now=0.0, idle_since=None):
-    return QueueState(queue_bytes, queue_pkts, now, idle_since)
+def drop_tail_link(sim, capacity_bytes):
+    """A 1 Mb/s link from node 0 to node 1 behind a drop-tail buffer."""
+    return Link(sim, Node(sim, 0, "a"), Node(sim, 1, "b"), rate_bps=1e6,
+                delay=0.01, queue=DropTailQueue(capacity_bytes))
+
+
+def offer(link, size):
+    """Offer one *size*-byte packet to *link*; True if it was buffered."""
+    return link.send(Packet(PacketKind.DATA, flow_id=0, src=0, dst=1,
+                            size_bytes=size))
+
+
+def admit(q, pkt_bytes, queue_bytes=0.0, queue_pkts=0, now=0.0,
+          idle_since=None):
+    """RED admission of a *pkt_bytes* arrival on the given queue state."""
+    return q.admit_values(pkt_bytes, queue_bytes, queue_pkts, now,
+                          idle_since)
 
 
 class TestDropTail:
-    def test_accepts_when_empty(self):
-        q = DropTailQueue(10_000)
-        assert q.admit(1500, state())
-        assert q.accepts == 1
+    def test_accepts_when_empty(self, sim):
+        link = drop_tail_link(sim, 10_000)
+        assert offer(link, 1500)
+        assert link.queue.accepts == 1
 
-    def test_drops_when_full(self):
-        q = DropTailQueue(3000)
-        assert not q.admit(1500, state(queue_bytes=2000, queue_pkts=2))
-        assert q.drops == 1
+    def test_drops_when_full(self, sim):
+        link = drop_tail_link(sim, 3000)
+        assert offer(link, 1000)
+        assert offer(link, 1000)
+        assert not offer(link, 1500)
+        assert link.queue.drops == 1
 
-    def test_exact_fit_accepted(self):
-        q = DropTailQueue(3000)
-        assert q.admit(1000, state(queue_bytes=2000, queue_pkts=2))
+    def test_exact_fit_accepted(self, sim):
+        link = drop_tail_link(sim, 3000)
+        assert offer(link, 2000)
+        assert offer(link, 1000)
 
     def test_capacity_validated(self):
         with pytest.raises(ValidationError):
             DropTailQueue(0)
 
-    def test_reset_counters(self):
-        q = DropTailQueue(1000)
-        q.admit(500, state())
-        q.admit(2000, state())
-        q.reset_counters()
-        assert q.accepts == 0
-        assert q.drops == 0
+    def test_reset_counters(self, sim):
+        link = drop_tail_link(sim, 1000)
+        offer(link, 500)
+        offer(link, 2000)
+        link.queue.reset_counters()
+        assert link.queue.accepts == 0
+        assert link.queue.drops == 0
 
 
 def make_red(**overrides):
@@ -77,8 +103,8 @@ def admission_drop_probability(avg, pkt_bytes, **overrides):
         q = make_red(rng=FixedCoin(coin), **overrides)
         q.avg = avg
         # Either mode measures *avg* (bytes, or packets).
-        sample = state(queue_bytes=avg, queue_pkts=int(avg))
-        return not q.admit(pkt_bytes, sample)
+        return not admit(q, pkt_bytes, queue_bytes=avg,
+                         queue_pkts=int(avg))
 
     low, high = 0.0, 1.0
     for _ in range(50):
@@ -108,7 +134,7 @@ class TestREDAverage:
     def test_average_tracks_queue(self):
         q = make_red()
         for _ in range(200):
-            q.admit(1500, state(queue_bytes=15_000, queue_pkts=10))
+            admit(q, 1500, queue_bytes=15_000, queue_pkts=10)
         # EWMA converges toward the instantaneous queue (10 packets).
         assert q.avg == pytest.approx(10.0, rel=0.05)
 
@@ -119,11 +145,11 @@ class TestREDAverage:
     def test_idle_period_decays_average(self):
         q = make_red(service_rate_bps=15e6)
         for _ in range(200):
-            q.admit(1500, state(queue_bytes=60_000, queue_pkts=40))
+            admit(q, 1500, queue_bytes=60_000, queue_pkts=40)
         peak = q.avg
         # Queue sat empty for one second before the next arrival.
-        q.admit(1500, state(queue_bytes=0, queue_pkts=0, now=10.0,
-                            idle_since=9.0))
+        admit(q, 1500, queue_bytes=0, queue_pkts=0, now=10.0,
+              idle_since=9.0)
         assert q.avg < peak * 0.5
 
     def test_idle_arrival_folds_sample_after_decay(self):
@@ -133,8 +159,8 @@ class TestREDAverage:
         # skip the sample fold.
         q = make_red(service_rate_bps=15e6, w_q=0.02)
         q.avg = 40.0
-        q.admit(1500, state(queue_bytes=0, queue_pkts=0, now=10.0,
-                            idle_since=9.999))
+        admit(q, 1500, queue_bytes=0, queue_pkts=0, now=10.0,
+              idle_since=9.999)
         service = 1000.0 * 8.0 / 15e6  # mean-size packet transmission time
         m = 0.001 / service
         expected = 40.0 * (1.0 - 0.02) ** m * (1.0 - 0.02)  # decay, then q=0
@@ -143,7 +169,7 @@ class TestREDAverage:
     def test_byte_mode_measures_bytes(self):
         q = make_red(byte_mode=True, min_th=20_000.0, max_th=80_000.0)
         for _ in range(100):
-            q.admit(1500, state(queue_bytes=10_000, queue_pkts=7))
+            admit(q, 1500, queue_bytes=10_000, queue_pkts=7)
         assert q.avg == pytest.approx(10_000, rel=0.3)
 
 
@@ -151,13 +177,13 @@ class TestREDDropping:
     def test_no_drops_below_min_th(self):
         q = make_red()
         for _ in range(500):
-            assert q.admit(1500, state(queue_bytes=7_500, queue_pkts=5))
+            assert admit(q, 1500, queue_bytes=7_500, queue_pkts=5)
         assert q.early_drops == 0
 
     def test_early_drops_between_thresholds(self):
         q = make_red()
         for _ in range(2000):
-            q.admit(1500, state(queue_bytes=75_000, queue_pkts=50))
+            admit(q, 1500, queue_bytes=75_000, queue_pkts=50)
         assert q.early_drops > 0
         # ... but nowhere near everything.
         assert q.accepts > q.early_drops
@@ -167,8 +193,8 @@ class TestREDDropping:
         # Push the average way past 2*max_th (160) with a roomy buffer, so
         # the refusal below comes from RED, not from a full buffer.
         for _ in range(3000):
-            q.admit(1500, state(queue_bytes=300_000, queue_pkts=200))
-        assert not q.admit(1500, state(queue_bytes=300_000, queue_pkts=200))
+            admit(q, 1500, queue_bytes=300_000, queue_pkts=200)
+        assert not admit(q, 1500, queue_bytes=300_000, queue_pkts=200)
         assert q.early_drops > 0
 
     def test_gentle_mode_softer_than_hard_cutoff(self):
@@ -178,14 +204,14 @@ class TestREDDropping:
             for _ in range(1500):
                 # 90 packets buffered: average settles above max_th (80)
                 # but the buffer itself is not full.
-                q.admit(1500, state(queue_bytes=135_000, queue_pkts=90))
+                admit(q, 1500, queue_bytes=135_000, queue_pkts=90)
             drops[gentle] = q.early_drops
         assert drops[True] < drops[False]
 
     def test_forced_drop_when_buffer_full(self):
         q = make_red()
-        full = state(queue_bytes=100 * 1500.0 - 100, queue_pkts=100)
-        assert not q.admit(1500, full)
+        assert not admit(q, 1500, queue_bytes=100 * 1500.0 - 100,
+                         queue_pkts=100)
         assert q.drops == 1
 
     def test_drop_probability_increases_with_average(self):
@@ -210,7 +236,7 @@ class TestREDDropping:
         for _ in range(2):
             q = make_red(rng=random.Random(99))
             run = [
-                q.admit(1500, state(queue_bytes=75_000, queue_pkts=50))
+                admit(q, 1500, queue_bytes=75_000, queue_pkts=50)
                 for _ in range(300)
             ]
             outcomes.append(run)

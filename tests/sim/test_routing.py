@@ -26,7 +26,6 @@ from repro.sim.topology import (
     ParkingLotConfig,
     build_dumbbell,
     build_parking_lot,
-    make_choke_queue,
 )
 from repro.testbed.dummynet import TestbedConfig, build_testbed
 from repro.util.errors import ConfigurationError, ValidationError
@@ -307,7 +306,7 @@ GOLDEN = {
     # The CHOKe bottleneck tracks its buffer, so its deliveries dispatch
     # through Node.receive rather than a send-time resolved callable.
     "choke-dumbbell": (
-        lambda: run_dumbbell(queue_factory=make_choke_queue),
+        lambda: run_dumbbell(queue="choke"),
         28303, 5641440.0,
         "749727b45d413de06ad1476b65a3d0230ad8e013f5f3ab6d47121608c69fd979",
     ),
@@ -381,6 +380,27 @@ class TestParkingLotPlatformSpec:
         assert testbed.describe() == {
             "kind": "testbed", "n_flows": 10, "seed": 7,
             "tcp": None, "use_red": True,
+        }
+        droptail_testbed = PlatformSpec(kind="testbed", n_flows=10, seed=7,
+                                        queue="droptail")
+        assert droptail_testbed.describe() == {
+            "kind": "testbed", "n_flows": 10, "seed": 7,
+            "tcp": None, "use_red": False,
+        }
+        choke = PlatformSpec(kind="dumbbell", n_flows=15, seed=1,
+                             queue="choke")
+        assert choke.describe() == {
+            "kind": "dumbbell", "n_flows": 15, "seed": 1,
+            "tcp": None, "queue": "choke",
+        }
+        parking_lot = PlatformSpec(
+            kind="parking_lot", n_flows=4, seed=2, queue="droptail",
+            extra=(("n_segments", 3), ("attack_segments", (0, 1))),
+        )
+        assert parking_lot.describe() == {
+            "kind": "parking_lot", "n_flows": 4, "seed": 2,
+            "tcp": None, "queue": "droptail",
+            "extra": [["n_segments", 3], ["attack_segments", [0, 1]]],
         }
 
     def test_parking_lot_round_trip(self):

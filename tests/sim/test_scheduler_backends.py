@@ -22,34 +22,26 @@ from repro.sim.engine import (
 from repro.util.errors import SimulationError
 
 
-def calendar_sim() -> Simulator:
-    return Simulator(scheduler="calendar")
-
-
 class TestSelection:
-    def test_explicit_backends(self):
-        assert Simulator(scheduler="heap").scheduler == "heap"
-        assert Simulator(scheduler="calendar").scheduler == "calendar"
-        assert Simulator(scheduler="auto").scheduler == "heap"  # starts heap
-        assert Simulator().scheduler == "heap"  # the default is auto
+    def test_explicit_backends(self, make_sim):
+        assert Simulator().scheduler == "heap"  # every simulator starts there
+        assert make_sim("heap").scheduler == "heap"
+        assert make_sim("calendar").scheduler == "calendar"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="splay-tree")
-
-    def test_builds_counter_tracks_backends(self):
+    def test_builds_counter_tracks_backends(self, make_sim):
         before = scheduler_builds()
-        Simulator(scheduler="heap")
-        Simulator(scheduler="calendar")
+        make_sim("heap")
+        make_sim("calendar")
         after = scheduler_builds()
-        assert after["heap"] == before["heap"] + 1
+        # Both start on the heap; the migration counts toward "calendar".
+        assert after["heap"] == before["heap"] + 2
         assert after["calendar"] == before["calendar"] + 1
 
 
 class TestBucketBoundaries:
-    def test_schedule_exactly_on_bucket_boundary(self):
+    def test_schedule_exactly_on_bucket_boundary(self, make_sim):
         """Events at exact multiples of the bucket width stay ordered."""
-        sim = calendar_sim()
+        sim = make_sim("calendar")
         width = sim._sched.width
         fired = []
         # Interleave boundary-exact times with mid-bucket times.
@@ -60,9 +52,9 @@ class TestBucketBoundaries:
         sim.run()
         assert fired == sorted(times)
 
-    def test_boundary_event_lands_in_front_when_due(self):
+    def test_boundary_event_lands_in_front_when_due(self, make_sim):
         """``int(t / width) <= cur_abs`` routes due pushes to the front."""
-        sim = calendar_sim()
+        sim = make_sim("calendar")
         sched = sim._sched
         fired = []
 
@@ -78,9 +70,9 @@ class TestBucketBoundaries:
         assert fired == ["direct", "nested"]
         assert len(sched) == 0
 
-    def test_sparse_far_future_jump(self):
+    def test_sparse_far_future_jump(self, make_sim):
         """A calendar holding only far-future timers skips ahead."""
-        sim = calendar_sim()
+        sim = make_sim("calendar")
         fired = []
         # Force a tiny width via a dense cluster, then drain it, leaving
         # only entries many ring revolutions away.
@@ -95,8 +87,8 @@ class TestBucketBoundaries:
 
 class TestStopMidBucket:
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_stop_preserves_remaining_entries(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_stop_preserves_remaining_entries(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
         fired = []
         # Five same-bucket events; the middle one stops the loop.
         for tag in range(5):
@@ -111,10 +103,10 @@ class TestStopMidBucket:
         assert fired == [0, 1, 2, 3, 4]
         assert sim.pending_events == 0
 
-    def test_stop_mid_bucket_keeps_front_consistent(self):
+    def test_stop_mid_bucket_keeps_front_consistent(self, make_sim):
         """After a stop, the calendar's front still holds loaded entries
         and a fresh run() picks up exactly where dispatch halted."""
-        sim = calendar_sim()
+        sim = make_sim("calendar")
         fired = []
         sim.schedule(1.0, fired.append, "a")
         sim.schedule(1.0, sim.stop)
@@ -131,8 +123,8 @@ class TestStopMidBucket:
 
 class TestZeroDelayStorm:
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_zero_delay_chain_fifo(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_zero_delay_chain_fifo(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
         fired = []
 
         def chain(n):
@@ -146,8 +138,8 @@ class TestZeroDelayStorm:
         assert sim.now == 1.0
 
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_zero_delay_fan_out_orders_by_seq(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_zero_delay_fan_out_orders_by_seq(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
         fired = []
 
         def fan_out():
@@ -160,8 +152,8 @@ class TestZeroDelayStorm:
         assert fired == ["sibling"] + list(range(100))
 
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_runaway_storm_hits_budget(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_runaway_storm_hits_budget(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
 
         def forever():
             sim.schedule(0.0, forever)
@@ -174,8 +166,8 @@ class TestZeroDelayStorm:
 
 class TestHeadCancellation:
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_cancel_head_entry_skips_it(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_cancel_head_entry_skips_it(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
         fired = []
         head = sim.schedule(1.0, fired.append, "head")
         sim.schedule(2.0, fired.append, "next")
@@ -185,9 +177,9 @@ class TestHeadCancellation:
         assert fired == ["next"]
         assert sim.events_executed == 1
 
-    def test_cancel_head_of_loaded_front(self):
+    def test_cancel_head_of_loaded_front(self, make_sim):
         """Cancelling an entry the calendar already moved to its front."""
-        sim = calendar_sim()
+        sim = make_sim("calendar")
         fired = []
         handles = [sim.schedule(1.0, fired.append, tag) for tag in range(4)]
         stopper = sim.schedule(1.0, sim.stop)
@@ -202,8 +194,8 @@ class TestHeadCancellation:
         assert all(h.cancelled for h in handles)  # fired handles are inert
 
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_cancel_after_firing_is_noop(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_cancel_after_firing_is_noop(self, make_sim, scheduler):
+        sim = make_sim(scheduler)
         fired = []
         handle = sim.schedule(1.0, fired.append, "once")
         sim.run()
@@ -215,8 +207,8 @@ class TestHeadCancellation:
 
 
 class TestResizeAndCompaction:
-    def test_bucket_count_grows_and_shrinks(self):
-        sim = calendar_sim()
+    def test_bucket_count_grows_and_shrinks(self, make_sim):
+        sim = make_sim("calendar")
         sched = sim._sched
         assert sched.nbuckets == CalendarQueue._MIN_BUCKETS
         rng = random.Random(5)
@@ -228,8 +220,8 @@ class TestResizeAndCompaction:
         assert sched.resizes > grown  # drained back down
         assert sched.nbuckets == CalendarQueue._MIN_BUCKETS
 
-    def test_compaction_drops_cancelled_wholesale(self):
-        sim = calendar_sim()
+    def test_compaction_drops_cancelled_wholesale(self, make_sim):
+        sim = make_sim("calendar")
         sched = sim._sched
         keep = [sim.schedule(1.0 + k * 0.01, lambda: None)
                 for k in range(50)]
@@ -245,8 +237,8 @@ class TestResizeAndCompaction:
         assert sim.pending_events == len(keep)
         assert sim.pending_entries == len(keep) + sched.cancelled_pending
 
-    def test_heap_drains_cancelled_lazily(self):
-        sim = Simulator(scheduler="heap")
+    def test_heap_drains_cancelled_lazily(self, make_sim):
+        sim = make_sim("heap")
         for k in range(100):
             sim.schedule(1.0 + k * 0.01, lambda: None).cancel()
         survivor = []
@@ -259,8 +251,8 @@ class TestResizeAndCompaction:
         assert sim.events_cancelled_skipped == 100
         assert sim.events_executed == 1
 
-    def test_heap_manual_compact(self):
-        sim = Simulator(scheduler="heap")
+    def test_heap_manual_compact(self, make_sim):
+        sim = make_sim("heap")
         for k in range(100):
             sim.schedule(1.0 + k * 0.01, lambda: None).cancel()
         live = sim.schedule(2.0, lambda: None)
@@ -271,8 +263,8 @@ class TestResizeAndCompaction:
 
 
 class TestFreelist:
-    def test_calendar_recycles_transient_entries(self):
-        sim = calendar_sim()
+    def test_calendar_recycles_transient_entries(self, make_sim):
+        sim = make_sim("calendar")
         sched = sim._sched
         fired = []
 
@@ -286,16 +278,16 @@ class TestFreelist:
         assert fired == list(range(200, -1, -1))
         assert sched.recycled >= 199  # every hop after the first reuses
 
-    def test_heap_does_not_recycle(self):
-        sim = Simulator(scheduler="heap")
+    def test_heap_does_not_recycle(self, make_sim):
+        sim = make_sim("heap")
         for k in range(50):
             sim._push_transient(0.01 * (k + 1), lambda: None, ())
         sim.run()
         assert sim._sched.recycled == 0
         assert sim._sched.free == []
 
-    def test_event_handles_never_enter_freelist(self):
-        sim = calendar_sim()
+    def test_event_handles_never_enter_freelist(self, make_sim):
+        sim = make_sim("calendar")
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         assert all(e.__class__ is not Event for e in sim._sched.free)
@@ -304,7 +296,7 @@ class TestFreelist:
 
 class TestAutoMigration:
     def test_auto_migrates_past_threshold(self):
-        sim = Simulator(scheduler="auto")
+        sim = Simulator()
         for k in range(AUTO_CALENDAR_DEPTH + 1):
             sim.schedule(1.0 + k * 1e-4, lambda: None)
         assert sim.scheduler == "heap"  # not yet: checked on next entry
@@ -312,9 +304,9 @@ class TestAutoMigration:
         assert sim.scheduler == "calendar"
         assert sim._migrations == 1
 
-    def test_migration_preserves_dispatch_and_digest(self):
-        def build(scheduler):
-            sim = Simulator(scheduler=scheduler)
+    def test_migration_preserves_dispatch_and_digest(self, pin_backend):
+        def build():
+            sim = Simulator()
             fired = []
             rng = random.Random(77)
             for _ in range(AUTO_CALENDAR_DEPTH + 50):
@@ -324,13 +316,16 @@ class TestAutoMigration:
                        for _ in range(100)]
             for handle in cancels:
                 handle.cancel()
+            sim.schedule(6.0, lambda: None)
             return sim, fired
 
-        heap_sim, heap_fired = build("heap")
-        auto_sim, auto_fired = build("auto")
-        auto_sim.schedule(6.0, lambda: None)  # trigger the migration
-        heap_sim.schedule(6.0, lambda: None)
+        # Unpinned first: it migrates at the live-depth threshold.  The
+        # heap pin then applies only to the simulator built after it.
+        auto_sim, auto_fired = build()
         assert auto_sim.scheduler == "calendar"
+        pin_backend("heap")
+        heap_sim, heap_fired = build()
+        assert heap_sim.scheduler == "heap"
         assert auto_sim.state_digest() == heap_sim.state_digest()
         heap_sim.run()
         auto_sim.run()
@@ -338,7 +333,7 @@ class TestAutoMigration:
         assert auto_sim.events_executed == heap_sim.events_executed
 
     def test_small_scenarios_stay_on_heap(self):
-        sim = Simulator(scheduler="auto")
+        sim = Simulator()
         for _ in range(100):
             sim.schedule(1.0, lambda: None)
         sim.run()
@@ -350,8 +345,7 @@ class TestEquivalenceProperty:
     """Randomized heap-vs-calendar dispatch-order equivalence."""
 
     @staticmethod
-    def _chaos_run(scheduler, seed):
-        sim = Simulator(scheduler=scheduler)
+    def _chaos_run(sim, seed):
         rng = random.Random(seed)
         trace = []
         handles = []
@@ -374,18 +368,21 @@ class TestEquivalenceProperty:
         return trace, sim
 
     @pytest.mark.parametrize("seed", [1, 17, 4242])
-    def test_random_workloads_dispatch_identically(self, seed):
-        heap_trace, heap_sim = self._chaos_run("heap", seed)
-        cal_trace, cal_sim = self._chaos_run("calendar", seed)
+    def test_random_workloads_dispatch_identically(self, make_sim, seed):
+        heap_trace, heap_sim = self._chaos_run(make_sim("heap"), seed)
+        cal_trace, cal_sim = self._chaos_run(make_sim("calendar"), seed)
         assert heap_trace == cal_trace
         assert heap_sim.events_executed == cal_sim.events_executed
         assert heap_sim.state_digest() == cal_sim.state_digest()
         assert heap_sim.pending_events == cal_sim.pending_events
 
-    def test_digest_equal_after_identical_schedules(self):
-        sims = [Simulator(scheduler=s) for s in ("heap", "calendar")]
+    def test_digest_equal_after_identical_schedules(self, make_sim):
         rng_times = [random.Random(3).uniform(0.0, 9.0) for _ in range(500)]
-        for sim in sims:
+        sims = []
+        for scheduler in ("heap", "calendar"):
+            sim = make_sim(scheduler)
             for t in rng_times:
                 sim.schedule_at(t, lambda: None)
+            sims.append(sim)
+        assert sims[0].scheduler == "heap"
         assert sims[0].state_digest() == sims[1].state_digest()

@@ -14,11 +14,9 @@ from repro.sim.topology import (
     ParkingLotConfig,
     build_dumbbell,
     build_parking_lot,
-    make_droptail_queue,
-    make_red_queue,
 )
 from repro.testbed.dummynet import TestbedConfig, build_testbed
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import mbps, ms
 
 
@@ -57,12 +55,15 @@ class TestConfig:
 
 class TestConstruction:
     def test_queue_factories(self):
-        red_net = build_dumbbell(DumbbellConfig(queue_factory=make_red_queue))
-        dt_net = build_dumbbell(
-            DumbbellConfig(queue_factory=make_droptail_queue)
-        )
+        red_net = build_dumbbell(DumbbellConfig(queue="red"))
+        dt_net = build_dumbbell(DumbbellConfig(queue="droptail"))
         assert isinstance(red_net.bottleneck.queue, REDQueue)
         assert isinstance(dt_net.bottleneck.queue, DropTailQueue)
+
+    @pytest.mark.parametrize("config", [DumbbellConfig, ParkingLotConfig])
+    def test_unknown_queue_rejected(self, config):
+        with pytest.raises(ValidationError, match="queue"):
+            config(queue="codel")
 
     def test_red_thresholds_from_buffer(self):
         net = build_dumbbell(DumbbellConfig(buffer_bytes=100 * 1500.0))

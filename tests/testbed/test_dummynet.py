@@ -34,7 +34,7 @@ class TestDummynetPipe:
 
     def test_droptail_same_capacity(self):
         pipe = DummynetPipe.rule_of_thumb(mbps(10), rtt=0.3)
-        net = build_testbed(TestbedConfig(pipe=pipe, use_red=False))
+        net = build_testbed(TestbedConfig(pipe=pipe, queue="droptail"))
         queue = net.bottleneck.queue
         assert isinstance(queue, DropTailQueue)
         assert queue.capacity_bytes == pipe.queue_bytes
@@ -60,6 +60,12 @@ class TestTestbedConfig:
         with pytest.raises(ConfigurationError):
             TestbedConfig(n_flows=0)
 
+    @pytest.mark.parametrize("queue", ["choke", "nonsense"])
+    def test_queue_the_pipe_lacks_rejected(self, queue):
+        # Dummynet pipes offer RED and drop-tail only.
+        with pytest.raises(ValidationError, match="queue"):
+            TestbedConfig(queue=queue)
+
 
 class TestTestbedNetwork:
     def test_build_and_run(self):
@@ -69,8 +75,8 @@ class TestTestbedNetwork:
         assert net.aggregate_goodput_bytes() > 0
 
     def test_red_vs_droptail_selectable(self):
-        red = build_testbed(TestbedConfig(use_red=True))
-        droptail = build_testbed(TestbedConfig(use_red=False))
+        red = build_testbed(TestbedConfig(queue="red"))
+        droptail = build_testbed(TestbedConfig(queue="droptail"))
         assert isinstance(red.bottleneck.queue, REDQueue)
         assert isinstance(droptail.bottleneck.queue, DropTailQueue)
 
