@@ -20,6 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.util.errors import ValidationError
+from repro.util.validate import check_non_negative, check_positive
 
 __all__ = ["jain_fairness_index", "FlowDamage", "per_flow_damage",
            "mean_ci_halfwidth", "ci_stable"]
@@ -88,6 +89,23 @@ def per_flow_damage(rtts: Sequence[float], baseline: Sequence[float],
 # ----------------------------------------------------------------------
 # sequential-replication confidence intervals
 # ----------------------------------------------------------------------
+#: Two-sided 95% t critical values, ``scipy.special.stdtrit(df, 0.975)``
+#: bit for bit, indexed by ``df - 1`` for df 1-9.  They cover every
+#: interval the product builds by default (the planner's at most 3
+#: seeds, replication's 3), so a fast-mode process never imports scipy.
+_T975 = (
+    12.706204736174694,
+    4.302652729749462,
+    3.1824463052837078,
+    2.7764451051977934,
+    2.5705818356363146,
+    2.4469118511449786,
+    2.364624251592784,
+    2.306004135204166,
+    2.262157162798205,
+)
+
+
 def mean_ci_halfwidth(samples: Sequence[float],
                       confidence: float = 0.95) -> float:
     """Half-width of the t-based CI for the mean of *samples*.
@@ -105,12 +123,16 @@ def mean_ci_halfwidth(samples: Sequence[float],
         raise ValidationError("need at least one sample")
     if values.size < 2:
         return math.inf
-    # stdtrit is what scipy.stats.t.ppf evaluates (bit for bit at
-    # loc=0, scale=1), without importing scipy.stats; it is imported
-    # here so a fresh process that never builds an interval skips scipy.
-    from scipy.special import stdtrit
+    df = values.size - 1
+    if confidence == 0.95 and df <= len(_T975):
+        critical = _T975[df - 1]
+    else:
+        # stdtrit is what scipy.stats.t.ppf evaluates (bit for bit at
+        # loc=0, scale=1), without importing scipy.stats; it is imported
+        # here so only a quantile outside the table pays for scipy.
+        from scipy.special import stdtrit
 
-    critical = stdtrit(values.size - 1, 0.5 + confidence / 2.0)
+        critical = stdtrit(df, 0.5 + confidence / 2.0)
     return float(critical * values.std(ddof=1) / math.sqrt(values.size))
 
 
@@ -124,8 +146,8 @@ def ci_stable(samples: Sequence[float], *, rel_tol: float,
     attack), where a purely relative tolerance would demand absurd
     precision.
     """
-    if rel_tol <= 0.0:
-        raise ValidationError(f"rel_tol must be > 0, got {rel_tol}")
+    check_positive("rel_tol", rel_tol)
+    check_non_negative("scale_floor", scale_floor)
     halfwidth = mean_ci_halfwidth(samples, confidence)
     if math.isinf(halfwidth):
         return False

@@ -43,7 +43,7 @@ from repro.sim.topology import (
 )
 from repro.testbed.dummynet import PIPE_QUEUES, TestbedConfig, build_testbed
 from repro.util.errors import ValidationError
-from repro.util.validate import check_non_negative, check_positive
+from repro.util.validate import check_int, check_non_negative, check_positive
 
 __all__ = ["PlatformSpec", "DeploymentSpec", "Cell", "CellResult",
            "GroupResult", "execute_cell", "execute_cell_group",
@@ -151,16 +151,10 @@ class PlatformSpec:
                         f"ParkingLotConfig field; expected one of "
                         f"{sorted(_EXTRA_FIELDS)}"
                     )
-        # A bool is an int to Python, and a float or None seed would key
-        # the cache while the builders draw different jitter per process.
-        for name in ("n_flows", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(
-                    f"{name} must be an int, got {value!r}"
-                )
-        if self.n_flows < 1:
-            raise ValidationError(f"n_flows must be >= 1, got {self.n_flows}")
+        # A float or None seed would key the cache while the builders
+        # draw different jitter per process.
+        check_int("n_flows", self.n_flows, 1)
+        check_int("seed", self.seed)
 
     # ------------------------------------------------------------------
     def _extra_kwargs(self) -> dict:

@@ -52,7 +52,8 @@ from repro.runner.runner import ExperimentRunner, get_default_runner
 from repro.sim.convergence import ConvergenceConfig
 from repro.util.env import env_flag
 from repro.util.errors import ValidationError
-from repro.util.validate import check_positive
+from repro.util.validate import (check_fraction, check_int,
+                                 check_non_negative, check_positive)
 
 __all__ = ["PlannerPolicy", "PlannedPoint", "PlannedSweep",
            "run_planned_sweep", "fast_mode", "active_policy",
@@ -110,44 +111,20 @@ class PlannerPolicy:
     fluid_max_step: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.coarse_points < 3:
-            raise ValidationError(
-                f"coarse_points must be >= 3, got {self.coarse_points}"
-            )
-        check_positive("gamma_resolution", self.gamma_resolution)
-        if self.min_seeds < 1:
-            raise ValidationError(
-                f"min_seeds must be >= 1, got {self.min_seeds}"
-            )
+        for name, least in (("coarse_points", 3), ("min_seeds", 1),
+                            ("max_seeds", 1), ("confirm_peak_seeds", 1),
+                            ("fluid_grid_points", 3),
+                            ("fluid_confirm_points", 3)):
+            check_int(name, getattr(self, name), least)
         if self.max_seeds < self.min_seeds:
             raise ValidationError(
                 f"max_seeds ({self.max_seeds}) must be >= min_seeds "
                 f"({self.min_seeds})"
             )
-        if self.confirm_peak_seeds < 1:
-            raise ValidationError(
-                f"confirm_peak_seeds must be >= 1, got "
-                f"{self.confirm_peak_seeds}"
-            )
+        check_positive("gamma_resolution", self.gamma_resolution)
         check_positive("ci_rel_tol", self.ci_rel_tol)
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.gain_floor < 0.0:
-            raise ValidationError(
-                f"gain_floor must be >= 0, got {self.gain_floor}"
-            )
-        if self.fluid_grid_points < 3:
-            raise ValidationError(
-                f"fluid_grid_points must be >= 3, got "
-                f"{self.fluid_grid_points}"
-            )
-        if self.fluid_confirm_points < 3:
-            raise ValidationError(
-                f"fluid_confirm_points must be >= 3, got "
-                f"{self.fluid_confirm_points}"
-            )
+        check_fraction("confidence", self.confidence)
+        check_non_negative("gain_floor", self.gain_floor)
         check_positive("fluid_max_step", self.fluid_max_step)
 
 

@@ -24,12 +24,13 @@ Both scheduler backends are plain slotted containers, so forks work --
 and stay bit-identical -- under either; the warm-start tests pin the
 round-trip per backend.  Two details need explicit care:
 
-* the packet uid counter is a class-level global on
-  :class:`~repro.sim.packet.Packet` (so uids are unique across helper
-  objects); it is captured at snapshot time and re-seeded before each
-  fork so every fork draws the identical uid stream;
-* ``itertools.count`` cannot be read in place; the captured value comes
-  from advancing a shallow copy.
+* the packet uid counter is a module-level global in
+  :mod:`repro.sim.packet` (so uids are unique across helper objects);
+  it is captured at snapshot time and re-seeded before each fork so
+  every fork draws the identical uid stream;
+* every seq and uid position is a plain int, so the deep copy carries
+  no iterator state (``itertools.count`` has no copy support from
+  Python 3.14 on).
 
 Forks are bit-identical to simply continuing the original network --
 the engine's :meth:`~repro.sim.engine.Simulator.state_digest` and the

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.util.errors import ValidationError
-from repro.util.validate import check_non_negative, check_positive
+from repro.util.validate import check_int, check_non_negative, check_positive
 
 __all__ = ["ConvergenceConfig", "GoodputConvergenceMonitor"]
 
@@ -60,10 +60,7 @@ class ConvergenceConfig:
     def __post_init__(self) -> None:
         check_positive("check_interval", self.check_interval)
         check_positive("rel_tol", self.rel_tol)
-        if self.stable_checks < 2:
-            raise ValidationError(
-                f"stable_checks must be >= 2, got {self.stable_checks}"
-            )
+        check_int("stable_checks", self.stable_checks, 2)
         if not 0.0 <= self.min_fraction < 1.0:
             raise ValidationError(
                 f"min_fraction must be in [0, 1), got {self.min_fraction}"

@@ -59,8 +59,6 @@ thirds of all pending entries, so dead RTO timers cannot inflate it.
 
 from __future__ import annotations
 
-import copy as _copy
-import itertools
 from heapq import heapify, heappop, heappush
 from math import inf
 from time import perf_counter
@@ -187,18 +185,19 @@ class HeapScheduler:
 
     name = "heap"
 
-    __slots__ = ("entries", "free", "counter", "cancelled_pending",
+    __slots__ = ("entries", "free", "seq", "cancelled_pending",
                  "recycled", "compactions", "events_compacted")
 
-    def __init__(self, counter) -> None:
+    def __init__(self) -> None:
         #: the heap itself; the dispatch loop reaches in directly.
         self.entries: List[Any] = []
         #: freelist slot for API parity with CalendarQueue; the heap
         #: backend never recycles (baseline allocation behavior), so
         #: this stays empty.
         self.free: List[Any] = []
-        #: the owning simulator's seq counter (shared across migration).
-        self.counter = counter
+        #: the seq the next scheduled entry receives (a plain int, so
+        #: reading it consumes nothing and forks copy it as a value).
+        self.seq = 0
         #: calendar entries cancelled but not yet drained/compacted.
         self.cancelled_pending = 0
         self.recycled = 0
@@ -208,13 +207,17 @@ class HeapScheduler:
     # -- scheduling ----------------------------------------------------
     def push_handle(self, time: float, fn, args) -> Event:
         """Schedule a cancellable event; returns its handle."""
-        event = Event((time, next(self.counter), fn, args, self))
+        seq = self.seq
+        self.seq = seq + 1
+        event = Event((time, seq, fn, args, self))
         heappush(self.entries, event)
         return event
 
     def push_transient(self, time: float, fn, args) -> None:
         """Schedule a fire-and-forget event (no handle)."""
-        heappush(self.entries, [time, next(self.counter), fn, args])
+        seq = self.seq
+        self.seq = seq + 1
+        heappush(self.entries, [time, seq, fn, args])
 
     # -- accounting ----------------------------------------------------
     def __len__(self) -> int:
@@ -327,10 +330,10 @@ class CalendarQueue:
     _WIDTH_SAMPLE = 64
 
     __slots__ = ("front", "buckets", "nbuckets", "width", "count", "free",
-                 "counter", "cancelled_pending", "recycled", "compactions",
+                 "seq", "cancelled_pending", "recycled", "compactions",
                  "events_compacted", "resizes", "cur_abs")
 
-    def __init__(self, counter, *, width: float = 1e-3) -> None:
+    def __init__(self, *, width: float = 1e-3) -> None:
         #: due entries, a binary heap; the dispatch loop pops this.
         self.front: List[Any] = []
         self.nbuckets = self._MIN_BUCKETS
@@ -340,7 +343,7 @@ class CalendarQueue:
         #: total entries (front + buckets), including cancelled ones.
         self.count = 0
         self.free: List[Any] = []
-        self.counter = counter
+        self.seq = 0
         self.cancelled_pending = 0
         self.recycled = 0
         self.compactions = 0
@@ -353,7 +356,9 @@ class CalendarQueue:
     # -- scheduling ----------------------------------------------------
     def push_handle(self, time: float, fn, args) -> Event:
         """Schedule a cancellable event; returns its handle."""
-        event = Event((time, next(self.counter), fn, args, self))
+        seq = self.seq
+        self.seq = seq + 1
+        event = Event((time, seq, fn, args, self))
         index = int(time / self.width)
         if index <= self.cur_abs:
             heappush(self.front, event)
@@ -367,16 +372,18 @@ class CalendarQueue:
 
     def push_transient(self, time: float, fn, args) -> None:
         """Schedule a fire-and-forget event (recyclable, no handle)."""
+        seq = self.seq
+        self.seq = seq + 1
         free = self.free
         if free:
             entry = free.pop()
             entry[0] = time
-            entry[1] = next(self.counter)
+            entry[1] = seq
             entry[2] = fn
             entry[3] = args
             self.recycled += 1
         else:
-            entry = [time, next(self.counter), fn, args]
+            entry = [time, seq, fn, args]
         index = int(time / self.width)
         if index <= self.cur_abs:
             heappush(self.front, entry)
@@ -544,7 +551,7 @@ class CalendarQueue:
         order is unchanged -- and cancellable entries are re-owned so
         later ``cancel()`` calls report into this backend's accounting.
         Cancelled entries are dropped (their handles stay inert).  The
-        freelist carries over.
+        seq position and the freelist carry over.
         """
         live = other.live_entries()
         live.sort()
@@ -556,6 +563,7 @@ class CalendarQueue:
             nbuckets *= 2
         self.cancelled_pending = 0
         self._install(live, nbuckets)
+        self.seq = other.seq
         self.free = other.free
         self.recycled = other.recycled
         self.compactions = other.compactions
@@ -596,10 +604,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._counter = itertools.count()
         #: still on the heap, so scheduling checks the migration depth.
         self._auto = True
-        self._sched: Any = HeapScheduler(self._counter)
+        self._sched: Any = HeapScheduler()
         _SCHEDULER_BUILDS["heap"] += 1
         #: rebindable fast paths: hot callers (Link.send, attack
         #: emission chains) call these bound methods directly; backend
@@ -667,8 +674,7 @@ class Simulator:
         assert a forked engine resumes exactly where the original left
         off.
         """
-        # itertools.count cannot be inspected in place; advance a copy.
-        return next(_copy.copy(self._counter))
+        return self._sched.seq
 
     def state_digest(self) -> tuple:
         """A comparable fingerprint of the full scheduling state.
@@ -726,7 +732,7 @@ class Simulator:
         sched = self._sched
         if sched.live_count <= AUTO_CALENDAR_DEPTH:
             return
-        calendar = CalendarQueue(self._counter)
+        calendar = CalendarQueue()
         calendar.adopt(sched)
         self._sched = calendar
         self._push_transient = calendar.push_transient

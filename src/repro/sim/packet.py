@@ -8,9 +8,7 @@ UDP-like constant-size datagrams with no transport state.
 
 from __future__ import annotations
 
-import copy
 import enum
-import itertools
 from typing import Optional, Tuple
 
 __all__ = ["PacketKind", "Packet", "TCP_HEADER_BYTES", "ACK_SIZE_BYTES",
@@ -37,6 +35,12 @@ class PacketKind(enum.Enum):
     CBR = "cbr"         #: generic constant-bit-rate (UDP-like) payload
 
 
+#: The uid the next :class:`Packet` receives, as a one-item list: the
+#: constructor bumps it in place, so no class attribute is rewritten per
+#: packet, and a plain int is readable without advancing it.
+_next_uid = [0]
+
+
 class Packet:
     """A packet in flight.
 
@@ -60,8 +64,6 @@ class Packet:
         "seq", "ack", "sent_at", "retransmit", "hops", "sack",
     )
 
-    _uid_counter = itertools.count()
-
     @classmethod
     def reset_uids(cls) -> None:
         """Restart uid numbering from 0.
@@ -71,7 +73,7 @@ class Packet:
         counter, a rerun of the same scenario would otherwise produce a
         different (run-order-dependent) uid stream in its traces.
         """
-        cls._uid_counter = itertools.count()
+        _next_uid[0] = 0
 
     @classmethod
     def peek_uid(cls) -> int:
@@ -81,13 +83,12 @@ class Packet:
         snapshot so every fork resumes the exact uid stream a
         from-scratch run would produce.
         """
-        # itertools.count cannot be inspected in place; advance a copy.
-        return next(copy.copy(cls._uid_counter))
+        return _next_uid[0]
 
     @classmethod
     def set_next_uid(cls, value: int) -> None:
         """Make *value* the next uid handed out (checkpoint restore)."""
-        cls._uid_counter = itertools.count(value)
+        _next_uid[0] = value
 
     def __init__(
         self,
@@ -101,7 +102,9 @@ class Packet:
         sent_at: float = 0.0,
         retransmit: bool = False,
     ) -> None:
-        self.uid = next(Packet._uid_counter)
+        uid = _next_uid[0]
+        _next_uid[0] = uid + 1
+        self.uid = uid
         self.kind = kind
         self.flow_id = flow_id
         self.src = src

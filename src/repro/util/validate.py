@@ -9,6 +9,7 @@ assign in one expression::
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.util.errors import ValidationError
 
@@ -19,6 +20,19 @@ def _check_finite_number(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def check_int(name: str, value: int, minimum: Optional[int] = None) -> int:
+    """Require an int (not a bool) of at least *minimum*; return it.
+
+    A bool is an int to Python, and a float count would only fail later,
+    deep inside ``range`` or ``np.linspace``, with a raw ``TypeError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def check_positive(name: str, value: float) -> float:

@@ -95,7 +95,32 @@ class TestMeanCI:
             mean_ci_halfwidth([1.0, 2.0], confidence=1.0)
 
 
+class TestTTable:
+    def test_entries_are_stdtrit_bit_for_bit(self):
+        from scipy.special import stdtrit
+
+        from repro.analysis.stats import _T975
+
+        assert len(_T975) == 9
+        for df, critical in enumerate(_T975, start=1):
+            assert critical == stdtrit(df, 0.975)
+            assert critical == stdtrit(df, 0.5 + 0.95 / 2.0)
+
+
 class TestCIStable:
+    @pytest.mark.parametrize("kwargs", [
+        dict(rel_tol=float("nan")),
+        dict(rel_tol=0.0),
+        dict(rel_tol=0.1, scale_floor=float("nan")),
+        dict(rel_tol=0.1, scale_floor=-1.0),
+    ])
+    def test_bad_inputs_rejected(self, kwargs):
+        from repro.analysis.stats import ci_stable
+
+        name = "scale_floor" if "scale_floor" in kwargs else "rel_tol"
+        with pytest.raises(ValidationError, match=name):
+            ci_stable([1.0, 1.01, 0.99], **kwargs)
+
     def test_stable_when_halfwidth_within_tolerance(self):
         from repro.analysis.stats import ci_stable
 

@@ -96,9 +96,15 @@ class TestPolicy:
         dict(confidence=1.0),
         dict(gain_floor=-0.1),
         dict(confirm_peak_seeds=0),
+        dict(min_seeds=1.5),
+        dict(max_seeds=2.5),
+        dict(min_seeds=True),
+        dict(confirm_peak_seeds=2.5),
+        dict(coarse_points=4.5),
+        dict(gain_floor=float("nan")),
     ])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             PlannerPolicy(**kwargs)
 
     def test_fast_mode_follows_environment(self, monkeypatch):
@@ -201,9 +207,11 @@ class TestFluidPrepass:
         dict(fluid_grid_points=2),
         dict(fluid_confirm_points=2),
         dict(fluid_max_step=0.0),
+        dict(fluid_grid_points=17.0),
+        dict(fluid_confirm_points=3.0),
     ])
     def test_bad_prepass_values_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             PlannerPolicy(**kwargs)
 
 

@@ -7,6 +7,10 @@ same drop counts, same packet uid streams, same RNG draws -- across
 every queue discipline and TCP variant the experiments use.
 """
 
+import gc
+import itertools
+import types
+
 import pytest
 
 from repro.core.attack import PulseTrain
@@ -38,6 +42,27 @@ def warmed_dumbbell(queue="red", variant=TCPVariant.NEWRENO, *,
     net.start_flows()
     net.run(warmup)
     return net
+
+
+def reachable(root):
+    """Every object a deep copy of *root* could copy.
+
+    Modules, classes and functions are shared by reference, not copied,
+    so the walk stops at them; a bound method contributes its instance.
+    """
+    shared = (types.ModuleType, type, types.FunctionType,
+              types.BuiltinFunctionType, types.CodeType)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        else:
+            stack.extend(gc.get_referents(obj))
 
 
 def drop_totals(net):
@@ -135,6 +160,19 @@ class TestForkIsolation:
         assert Packet.peek_uid() == uid_after_first
         second.run(4.0)
         assert first.state_digest() == second.state_digest()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_graph_holds_no_iterator_counter(self, scheduler, pin_backend):
+        # Copying an itertools.count is deprecated (gone in Python
+        # 3.14), so seq and uid positions are plain ints: nothing a
+        # snapshot or fork deep-copies may hold a count.
+        pin_backend(scheduler)
+        net = warmed_dumbbell()
+        assert net.sim.scheduler == scheduler
+        fork = NetworkSnapshot(net).fork()
+        for root in (net, fork):
+            assert not [obj for obj in reachable(root)
+                        if isinstance(obj, itertools.count)]
 
     def test_fork_counter(self):
         snapshot = NetworkSnapshot(warmed_dumbbell())

@@ -46,6 +46,8 @@ class TestConfig:
         dict(check_interval=0.0),
         dict(rel_tol=-0.1),
         dict(stable_checks=1),
+        dict(stable_checks=2.5),
+        dict(stable_checks=True),
         dict(min_fraction=1.0),
         dict(min_fraction=-0.2),
         dict(scale_floor=-1.0),

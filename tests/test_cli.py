@@ -510,6 +510,18 @@ class TestStartupImports:
             "from repro.runner import ExperimentRunner, code_version\n"
             "code_version('packet')") == []
 
+    def test_fast_mode_intervals_skip_scipy(self):
+        # The planner's (FAST_POLICY: at most 3 seeds) and replication's
+        # (3 seeds) intervals, and the n = 10 case, read the t table.
+        assert self._scipy_modules(
+            "from repro.analysis.stats import ci_stable, mean_ci_halfwidth\n"
+            "from repro.runner.planner import FAST_POLICY as p\n"
+            "for n in (2, 3, 10):\n"
+            "    mean_ci_halfwidth([float(i) for i in range(n)])\n"
+            "ci_stable([0.5, 0.6, 0.55], rel_tol=p.ci_rel_tol,\n"
+            "          confidence=p.confidence, scale_floor=p.gain_floor)"
+        ) == []
+
     def test_help_skips_scipy(self):
         assert self._scipy_modules(
             "import repro.cli\n"

@@ -7,11 +7,27 @@ import pytest
 from repro.util.errors import ValidationError
 from repro.util.validate import (
     check_fraction,
+    check_int,
     check_non_negative,
     check_positive,
     check_probability,
     check_range,
 )
+
+
+class TestCheckInt:
+    def test_accepts_int_at_minimum(self):
+        assert check_int("n", 3, 3) == 3
+        assert check_int("n", -7) == -7
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, None, "3"])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(ValidationError, match="n must be an int"):
+            check_int("n", value)
+
+    def test_rejects_below_minimum(self):
+        with pytest.raises(ValidationError, match="n must be >= 3, got 2"):
+            check_int("n", 2, 3)
 
 
 class TestCheckPositive:
