@@ -23,16 +23,11 @@ the calendar stays O(1) amortized and flat.  Gate: **calendar >= 1.5x
 heap at 300k pending**, best-of-3.  A depth ramp (5k / 50k / 300k) is
 archived alongside so the crossover is visible in the trajectory.
 
-The 10k-flow topology build is archived too: its wall time and the
-cyclic-GC collections it ran per generation (counted through
-``gc.callbacks``), so each commit's build cost is on record.  Not gated.
-
 Methodology: single-CPU boxes tax whichever run touches memory first
 (allocator growth, page faults), so each part runs a throwaway warm-up
 and then alternates heap/calendar reps, comparing best-of.
 """
 
-import gc
 import time
 
 import pytest
@@ -68,24 +63,6 @@ CORE_REPS = 3
 RAMP_DEPTHS = (5_000, 50_000, GATE_DEPTH)
 
 
-def _timed_build(config):
-    """Build the dumbbell; returns (net, wall, collections per generation)."""
-    collections = [0, 0, 0]
-
-    def count(phase, info):
-        if phase == "start":
-            collections[info["generation"]] += 1
-
-    gc.callbacks.append(count)
-    try:
-        started = time.perf_counter()
-        net = build_dumbbell(config)
-        wall = time.perf_counter() - started
-    finally:
-        gc.callbacks.remove(count)
-    return net, wall, collections
-
-
 def _run_scenario(scheduler):
     """One full mice-and-elephants run; returns (stats, fingerprint)."""
     config = DumbbellConfig(
@@ -95,7 +72,7 @@ def _run_scenario(scheduler):
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "AUTO_CALENDAR_DEPTH", PINNED_DEPTH[scheduler])
-        net, build_wall, build_collections = _timed_build(config)
+        net = build_dumbbell(config)
         mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
         workload = ShortFlowWorkload(
             net.sim, mice_src, mice_dst, tcp=config.tcp,
@@ -116,8 +93,6 @@ def _run_scenario(scheduler):
         "pending_live": sim.pending_events,
         "pending_raw": sim.pending_entries,
         "mice_launched": workload.launched,
-        "build_wall": build_wall,
-        "build_collections": build_collections,
     }
     fingerprint = (
         sim.events_executed,
@@ -204,16 +179,6 @@ def test_bench_many_flows(benchmark, record_result):
         f"   ({scenario_ratio:.2f}x, informational)",
         f"heap walls    : {format_reps(walls['heap'])}",
         f"calendar walls: {format_reps(walls['calendar'])}",
-        "",
-        f"topology build ({N_FLOWS} flows, best rep): wall and cyclic-GC "
-        f"collections per generation",
-        f"{'backend':<10} {'build':>8} {'gen0':>6} {'gen1':>6} {'gen2':>6}",
-    ]
-    for name, stats in (("heap", heap), ("calendar", cal)):
-        gen0, gen1, gen2 = stats["build_collections"]
-        rows.append(f"{name:<10} {stats['build_wall']:>7.2f}s "
-                    f"{gen0:>6} {gen1:>6} {gen2:>6}")
-    rows += [
         "",
         f"scheduler-core churn (self-rescheduling timers, "
         f"{CORE_EVENTS} events/rep, best of {CORE_REPS} alternating)",

@@ -1,25 +1,31 @@
-"""Append a pdosbench run's end-to-end medians to ``BENCH_e2e.json``.
+"""Append a pdosbench run's numbers to the performance trajectory.
 
-The performance trajectory is one JSON list at the repository root,
-one entry per measured commit, oldest first.  Each entry holds the git
-SHA, the date, a host note, and per workload the five end-to-end
-metrics that ``BENCHMARK.json`` declares (``null`` where a number is
-unknown), plus how many runs, which seeds, and whether every output
-was correct.  ``src_changed`` is true when ``src/`` differed from that
-SHA while it was measured: the entry then describes the commit that
-adds it.
+The trajectory is two JSON lists at the repository root, one entry per
+measured commit each, oldest first:
+
+* ``BENCH_e2e.json`` -- from untraced records (``--trace 0``): per
+  workload the five end-to-end metrics that ``BENCHMARK.json``
+  declares (``null`` where a number is unknown);
+* ``BENCH_layers.json`` -- from traced records (``--trace 1``): per
+  workload every per-layer ``*.share`` metric, the percentage of
+  traced wall time spent in that layer.
+
+Each entry holds the git SHA, the date, a host note, and per workload
+how many runs, which seeds, and whether every output was correct.
+``src_changed`` is true when ``src/`` differed from that SHA while it
+was measured: the entry then describes the commit that adds it.
 
 Usage, from the repository root, after one or more runs of
-``pdosbench/run.py --trace 0``::
+``pdosbench/run.py``::
 
     python benchmarks/trajectory.py                  # .pdosbench/*.json
     python benchmarks/trajectory.py --note "..." RECORD.json ...
 
-Each record is a ``.pdosbench/<workload>.json`` file.  Several records
-of one workload (one per seed, say) are folded into one row: each
-metric is the median over the records' own medians.  Traced records
-(``--trace 1``) carry per-layer shares, not these metrics, and are
-refused.
+Each record is a ``.pdosbench/<workload>[.trace].json`` file.  Several
+records of one workload (one per seed, say) are folded into one row:
+each metric is the median over the records' own medians.  Untraced
+and traced records go to their own file; a run with both appends one
+entry to each.
 """
 
 from __future__ import annotations
@@ -35,19 +41,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TRAJECTORY = ROOT / "BENCH_e2e.json"
-METRICS = [metric["name"] for metric in
-           json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+_DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: ``trace`` flag -> (trajectory file, metrics each row carries).
+TRAJECTORIES = {
+    0: (ROOT / "BENCH_e2e.json",
+        [metric["name"] for metric in _DECLARED["end_to_end"]]),
+    1: (ROOT / "BENCH_layers.json",
+        [metric["name"] for metric in _DECLARED["per_layer"]
+         if metric["name"].endswith(".share")]),
+}
 
 
-def workload_rows(records: list) -> dict:
+def workload_rows(records: list, metrics: list) -> dict:
     """``{workload: row}`` from pdosbench records, medians across runs."""
     runs: dict = {}
     for record in records:
-        if record["trace"]:
-            raise SystemExit(
-                f"{record['workload']} seed {record['seed']} is a traced "
-                "record; end-to-end metrics come from --trace 0 runs")
         runs.setdefault(record["workload"], []).append(record)
     rows = {}
     for workload, group in sorted(runs.items()):
@@ -55,7 +63,7 @@ def workload_rows(records: list) -> dict:
                "seeds": sorted(record["seed"] for record in group),
                "correct": all(record["check"]["failed"] == 0
                               for record in group)}
-        for name in METRICS:
+        for name in metrics:
             row[name] = statistics.median(
                 record["metrics"][name] for record in group)
         rows[workload] = row
@@ -89,9 +97,7 @@ def main(argv=None) -> int:
     parser.add_argument("--note", default="",
                         help="what the entry measures, e.g. parent or change")
     args = parser.parse_args(argv)
-    paths = args.records or sorted(
-        path for path in (ROOT / ".pdosbench").glob("*.json")
-        if not path.name.endswith(".trace.json"))
+    paths = args.records or sorted((ROOT / ".pdosbench").glob("*.json"))
     if not paths:
         print("no pdosbench records found; run pdosbench/run.py first",
               file=sys.stderr)
@@ -103,20 +109,23 @@ def main(argv=None) -> int:
         # Measured before committing: the entry describes the commit
         # that adds it, on top of HEAD.
         src_changed = bool(git("status", "--porcelain", "--", "src").stdout)
-    entry = {
-        "sha": sha,
-        "src_changed": src_changed,
-        "date": datetime.date.today().isoformat(),
-        "host": host_note(),
-        "note": args.note,
-        "workloads": workload_rows(
-            [json.loads(path.read_text()) for path in paths]),
-    }
-    trajectory = (json.loads(TRAJECTORY.read_text())
-                  if TRAJECTORY.exists() else [])
-    trajectory.append(entry)
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=1) + "\n")
-    print(json.dumps(entry, indent=1))
+    records = [json.loads(path.read_text()) for path in paths]
+    for trace, (path, metrics) in TRAJECTORIES.items():
+        measured = [record for record in records if record["trace"] == trace]
+        if not measured:
+            continue
+        entry = {
+            "sha": sha,
+            "src_changed": src_changed,
+            "date": datetime.date.today().isoformat(),
+            "host": host_note(),
+            "note": args.note,
+            "workloads": workload_rows(measured, metrics),
+        }
+        trajectory = json.loads(path.read_text()) if path.exists() else []
+        trajectory.append(entry)
+        path.write_text(json.dumps(trajectory, indent=1) + "\n")
+        print(f"{path.name}:\n{json.dumps(entry, indent=1)}")
     return 0
 
 

@@ -18,7 +18,8 @@ or per packet:
   path -- they already keep cumulative counters, and the obs layer
   *snapshots* those counters after a run instead of observing every
   packet;
-* the experiment runner publishes per-batch, not per-cell.
+* the experiment runner runs each work unit under a fresh registry
+  only when one is active, and absorbs it once per unit.
 
 Determinism: instruments only record; they never draw randomness or
 schedule events, so enabling metrics cannot change any simulation
@@ -117,6 +118,26 @@ class MetricsRegistry:
         """A JSON-serializable view: name -> number."""
         return {name: self._instruments[name].value
                 for name in sorted(self._instruments)}
+
+    def absorb(self, other: "MetricsRegistry") -> None:
+        """Fold *other* in as if its updates had been made here, after ours.
+
+        Counters add.  Gauges take *other*'s value (the latest publish
+        wins), except the :data:`PEAK_GAUGES`, which keep the maximum.
+        The runner absorbs each work unit's registry this way, so a
+        worker's telemetry lands where an inline run would have put it.
+        """
+        for name, instrument in other._instruments.items():
+            if type(instrument) is Counter:
+                self.counter(name).inc(instrument.value)
+            elif name in PEAK_GAUGES:
+                self.gauge(name).track_max(instrument.value)
+            else:
+                self.gauge(name).set(instrument.value)
+
+
+#: Gauges updated with :meth:`Gauge.track_max`: absorbing keeps the peak.
+PEAK_GAUGES = frozenset({"engine.peak_calendar_depth"})
 
 
 # ----------------------------------------------------------------------

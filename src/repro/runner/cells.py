@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.attack import PulseTrain
 from repro.core.throughput import VictimPopulation
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.convergence import ConvergenceConfig, GoodputConvergenceMonitor
 from repro.sim.tcp import TCPConfig
 from repro.sim.topology import (
@@ -593,6 +594,9 @@ class GroupResult:
             process that measured the group), or ``None`` when unknown.
             Pure provenance -- never part of any cache key or result
             comparison.
+        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` the
+            group ran under, or ``None`` when metrics were off.  The
+            runner absorbs it into the parent's active registry.
     """
 
     results: Tuple[CellResult, ...]
@@ -602,6 +606,7 @@ class GroupResult:
     warmup_seconds_saved: float
     series: Tuple[Optional[tuple], ...] = ()
     worker: Optional[str] = None
+    metrics: Optional[MetricsRegistry] = None
 
 
 def execute_cell_group(cells: Sequence[Cell], *,

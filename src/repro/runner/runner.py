@@ -48,6 +48,7 @@ from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs import metrics as _obs
 from repro.runner.cache import ResultCache, cell_key
 from repro.runner.cells import (
     Cell,
@@ -245,19 +246,27 @@ def local_worker_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
-def _execute_unit(cells: Tuple[Cell, ...],
-                  record: bool = False) -> GroupResult:
+def _execute_unit(cells: Tuple[Cell, ...], record: bool = False,
+                  collect: bool = False) -> GroupResult:
     """Worker entry point: run one warm-up-sharing chunk of cells.
 
     With *record* set each packet cell carries a flight recorder and
     the returned :class:`GroupResult` ships the harvested series blobs
     back by value -- workers never touch the sqlite store; the parent
-    process owns the only connection.  The result is stamped with the
-    executing process's worker identity so straggler analysis
-    (``repro obs query slowest-cells``) can attribute placement.
+    process owns the only connection.  With *collect* set the unit runs
+    under a fresh metrics registry, returned the same way for the
+    parent to absorb; otherwise it runs with metrics off, even in a
+    worker forked while an earlier experiment's registry was active.
+    The result is stamped with the executing process's worker identity
+    so straggler analysis (``repro obs query slowest-cells``) can
+    attribute placement.
     """
-    group = execute_cell_group(cells, record=record)
-    return dataclasses.replace(group, worker=local_worker_id())
+    with _obs.collecting() as registry:
+        if not collect:
+            _obs.disable()  # the exit restores the caller's state
+        group = execute_cell_group(cells, record=record)
+    return dataclasses.replace(group, worker=local_worker_id(),
+                               metrics=registry if collect else None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -437,13 +446,14 @@ class ExperimentRunner:
 
         if pending:
             units = self._plan_units(pending)
+            collect = _obs.active() is not None
             if self.jobs > 1 and len(units) > 1:
-                self._execute_parallel(units, results)
+                self._execute_parallel(units, results, collect)
             else:
                 for unit in units:
                     self._absorb_unit(unit, _execute_unit(
                         tuple(cell for _key, cell in unit),
-                        self.record_series), results)
+                        self.record_series, collect), results)
         return [results[key] for key in keys]
 
     # ------------------------------------------------------------------
@@ -520,7 +530,7 @@ class ExperimentRunner:
     def _absorb_unit(self, unit: List[Tuple[str, Cell]],
                      group_result: GroupResult,
                      results: Dict[str, CellResult]) -> None:
-        """Fold one executed unit into results, memo, cache, and stats."""
+        """Fold one executed unit into results, memo, cache, stats, metrics."""
         series = group_result.series or (None,) * len(unit)
         for (key, cell), result, elapsed, cell_series in zip(
             unit, group_result.results, group_result.elapsed, series,
@@ -532,6 +542,8 @@ class ExperimentRunner:
         stats.warmup_sims += group_result.warmup_sims
         stats.warm_starts += group_result.warm_starts
         stats.warmup_seconds_saved += group_result.warmup_seconds_saved
+        if group_result.metrics is not None:
+            _obs.active().absorb(group_result.metrics)
         if group_result.warm_starts:
             _log.debug(
                 "unit of %d cells: 1 warm-up + %d forks (saved %.0fs sim)",
@@ -549,7 +561,8 @@ class ExperimentRunner:
         return self._pool
 
     def _execute_parallel(self, units: List[List[Tuple[str, Cell]]],
-                          results: Dict[str, CellResult]) -> None:
+                          results: Dict[str, CellResult],
+                          collect: bool) -> None:
         """Fan units out over the pool and absorb them as they finish.
 
         Every unit is its own future, drained with ``as_completed``, so
@@ -572,7 +585,7 @@ class ExperimentRunner:
                 futures = {
                     pool.submit(
                         _execute_unit, tuple(cell for _key, cell in unit),
-                        self.record_series,
+                        self.record_series, collect,
                     ): index
                     for index, unit in pending.items()
                 }

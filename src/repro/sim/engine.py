@@ -185,24 +185,19 @@ class HeapScheduler:
 
     name = "heap"
 
-    __slots__ = ("entries", "free", "seq", "cancelled_pending",
-                 "recycled", "compactions", "events_compacted")
+    #: the heap never compacts: cancelled entries drain lazily.
+    events_compacted = 0
+
+    __slots__ = ("entries", "seq", "cancelled_pending")
 
     def __init__(self) -> None:
         #: the heap itself; the dispatch loop reaches in directly.
         self.entries: List[Any] = []
-        #: freelist slot for API parity with CalendarQueue; the heap
-        #: backend never recycles (baseline allocation behavior), so
-        #: this stays empty.
-        self.free: List[Any] = []
         #: the seq the next scheduled entry receives (a plain int, so
         #: reading it consumes nothing and forks copy it as a value).
         self.seq = 0
-        #: calendar entries cancelled but not yet drained/compacted.
+        #: calendar entries cancelled but not yet drained.
         self.cancelled_pending = 0
-        self.recycled = 0
-        self.compactions = 0
-        self.events_compacted = 0
 
     # -- scheduling ----------------------------------------------------
     def push_handle(self, time: float, fn, args) -> Event:
@@ -240,25 +235,6 @@ class HeapScheduler:
         honest in the meantime.
         """
         self.cancelled_pending += 1
-
-    def compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
-
-        Not triggered automatically (see :meth:`note_cancelled`);
-        exposed for API parity with :class:`CalendarQueue` and for
-        explicit housekeeping between run segments.  In-place (slice
-        assignment + ``heapify``) so a dispatch loop holding the
-        ``entries`` list as a local keeps seeing the live structure.
-        Dispatch order is unaffected: a heap pops the same
-        ``(time, seq)`` order whatever its internal layout.
-        """
-        entries = self.entries
-        removed = self.cancelled_pending
-        entries[:] = [e for e in entries if e[2] is not None]
-        heapify(entries)
-        self.cancelled_pending = 0
-        self.compactions += 1
-        self.events_compacted += removed
 
     # -- introspection / migration ------------------------------------
     def live_entries(self) -> List[Any]:
@@ -551,7 +527,7 @@ class CalendarQueue:
         order is unchanged -- and cancellable entries are re-owned so
         later ``cancel()`` calls report into this backend's accounting.
         Cancelled entries are dropped (their handles stay inert).  The
-        seq position and the freelist carry over.
+        seq position carries over.
         """
         live = other.live_entries()
         live.sort()
@@ -564,10 +540,6 @@ class CalendarQueue:
         self.cancelled_pending = 0
         self._install(live, nbuckets)
         self.seq = other.seq
-        self.free = other.free
-        self.recycled = other.recycled
-        self.compactions = other.compactions
-        self.events_compacted = other.events_compacted
 
     def live_entries(self) -> List[Any]:
         """The live entries, in no particular order."""

@@ -1,11 +1,15 @@
 """End-to-end instrumentation: engine, network, and runner telemetry."""
 
+import os
+import sys
+
 import pytest
 
+import repro.obs
 from repro.core.attack import PulseTrain
 from repro.obs import metrics
 from repro.sim.engine import Simulator
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.sim.topology import DumbbellConfig, Network, build_dumbbell
 from repro.util.units import mbps, ms
 
 
@@ -107,6 +111,55 @@ class TestNetworkTelemetry:
         run_attacked_dumbbell()
         assert len(registry) == 0
         assert metrics.active() is None
+
+
+class TestMetricsOffPath:
+    def test_off_path_asks_obs_once_per_run(self):
+        """Metrics off: one ``repro.obs`` call per run, never per event.
+
+        The canonical attacked dumbbell (15 NewReno flows over RED,
+        gamma = 0.5, 100 ms extent) runs two segments under a profiler
+        that counts every Python call into the ``repro.obs`` package.
+        ``Network.run`` and ``Simulator.run`` may each ask it once, for
+        the active registry; a call per event or per packet would show
+        up thousands of times, whatever the host's speed.
+        """
+        config = DumbbellConfig()
+        net = build_dumbbell(config)
+        train = PulseTrain.from_gamma(
+            gamma=0.5, rate_bps=mbps(30), extent=ms(100),
+            bottleneck_bps=config.bottleneck_rate_bps, n_pulses=20,
+        )
+        net.start_flows()
+        net.add_attack(train, start_time=1.0).start()
+
+        obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+        run_codes = {Network.run.__code__: "Network.run",
+                     Simulator.run.__code__: "Simulator.run"}
+        obs_calls, runs = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                if code.co_filename.startswith(obs_dir):
+                    obs_calls.append(code.co_name)
+                elif code in run_codes:
+                    runs.append(run_codes[code])
+
+        sys.setprofile(profile)
+        try:
+            net.run(until=1.5)
+            net.run(until=3.0)
+        finally:
+            sys.setprofile(None)
+
+        assert sorted(runs) == ["Network.run"] * 2 + ["Simulator.run"] * 2
+        assert net.sim.events_executed > 10_000
+        assert net.attack_sources[0].packets_emitted > 0
+        assert len(obs_calls) <= len(runs), (
+            f"{len(obs_calls)} calls into repro.obs over {len(runs)} runs "
+            f"and {net.sim.events_executed} events: "
+            f"{sorted(set(obs_calls))}")
 
 
 class TestSnapshotMethods:

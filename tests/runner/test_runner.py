@@ -11,6 +11,7 @@ import pytest
 from repro.core.attack import PulseTrain
 from repro.experiments.base import DumbbellPlatform, run_gain_sweep
 import repro.runner.runner as runner_module
+from repro.obs import metrics
 from repro.runner import (
     Cell,
     ExperimentRunner,
@@ -99,6 +100,24 @@ class TestDeterminism:
         # prefix, every other cell a fork.
         assert runner.stats.warmup_sims == 2
         assert runner.stats.warm_starts == len(cells) - 2
+
+    def test_pool_batch_reports_worker_metrics(self):
+        # Workers run each unit under a fresh registry and ship it back:
+        # the parent's registry counts their events as if run inline.
+        cells = two_group_cells()
+        snapshots = []
+        for jobs in (1, 2):
+            with metrics.collecting() as registry, \
+                    ExperimentRunner(jobs=jobs) as runner:
+                runner.measure_many(cells)
+            snapshots.append(registry.snapshot())
+        serial, pooled = snapshots
+        assert serial["engine.events_dispatched"] > 0
+        assert (pooled["engine.events_dispatched"]
+                == serial["engine.events_dispatched"])
+        assert pooled["engine.runs"] == serial["engine.runs"]
+        assert (pooled["engine.peak_calendar_depth"]
+                == serial["engine.peak_calendar_depth"])
 
 
 class TestDedupAndMemo:

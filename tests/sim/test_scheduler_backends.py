@@ -251,16 +251,6 @@ class TestResizeAndCompaction:
         assert sim.events_cancelled_skipped == 100
         assert sim.events_executed == 1
 
-    def test_heap_manual_compact(self, make_sim):
-        sim = make_sim("heap")
-        for k in range(100):
-            sim.schedule(1.0 + k * 0.01, lambda: None).cancel()
-        live = sim.schedule(2.0, lambda: None)
-        sim._sched.compact()
-        assert sim.pending_entries == sim.pending_events == 1
-        digest = sim.state_digest()
-        assert digest[2] == ((live.time, live.seq),)
-
 
 class TestFreelist:
     def test_calendar_recycles_transient_entries(self, make_sim):
@@ -277,14 +267,6 @@ class TestFreelist:
         sim.run()
         assert fired == list(range(200, -1, -1))
         assert sched.recycled >= 199  # every hop after the first reuses
-
-    def test_heap_does_not_recycle(self, make_sim):
-        sim = make_sim("heap")
-        for k in range(50):
-            sim._push_transient(0.01 * (k + 1), lambda: None, ())
-        sim.run()
-        assert sim._sched.recycled == 0
-        assert sim._sched.free == []
 
     def test_event_handles_never_enter_freelist(self, make_sim):
         sim = make_sim("calendar")
