@@ -1,8 +1,8 @@
 """Golden digests of the forensic time series and detector verdicts.
 
 Fig. 1 (cwnd per epoch), Fig. 3 (binned offered load), the
-detection-evasion verdicts and the distributed-deployment flags are all
-read from in-sim observers.  Each digest below is the sha256 of an
+detection-evasion verdicts, the distributed-deployment flags and the
+per-flow damage are all read from in-sim observers.  Each digest below is the sha256 of an
 experiment's observable output at a short horizon; a change to how the
 series are observed must leave every one of them byte for byte equal.
 """
@@ -13,6 +13,7 @@ from repro.experiments.detection_evasion import run_detection_evasion
 from repro.experiments.distributed_attack import run_distributed_attack
 from repro.experiments.fig01_cwnd import run_fig01
 from repro.experiments.fig03_sync import run_fig03_ns2, run_fig03_testbed
+from repro.experiments.flow_damage import run_flow_damage
 from repro.runner import ExperimentRunner, set_default_runner
 
 GOLDEN = {
@@ -26,6 +27,8 @@ GOLDEN = {
         "c6c17b7480213e85cf1c99174968424ceb4bbc352dfdb4dad81dd727dfaaf3d4",
     "distributed":
         "f1066f3325b651159499ad24e7b439a9af104b57b78d2c7297ab78eb4b4f2feb",
+    "flow_damage":
+        "e948981ea8323296c4f29e5b37b225046fe8939b582c769fa8f3b7e96e4aaea2",
 }
 
 
@@ -90,3 +93,11 @@ def test_distributed_flags_and_goodput():
     rows = [(name, o.flagged_sources, o.degradation)
             for name, o in result.outcomes.items()]
     assert digest(rows, runner.goodputs) == GOLDEN["distributed"]
+
+
+def test_flow_damage_per_flow():
+    report = run_flow_damage(window=8.0)
+    rows = [(d.rtt, d.baseline_bytes, d.attacked_bytes)
+            for d in report.damages]
+    assert digest(rows, report.fairness_before, report.fairness_during) \
+        == GOLDEN["flow_damage"]
