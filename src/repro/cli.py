@@ -28,9 +28,11 @@ bit-identical regardless of job count or cache state.
 ``--dry-run`` plans instead of executing: each experiment prints the
 cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
-simulation (cells that would execute resolve to placeholders).  It
-refuses fast mode: the adaptive planner picks its cells from measured
-gains, which a dry run does not have.
+simulation (cells that would execute resolve to placeholders).  Two
+experiments still simulate under it, because they measure outside the
+runner: ``fig01`` and ``mice-elephants``.  It refuses fast mode: the
+adaptive planner picks its cells from measured gains, which a dry run
+does not have.
 
 ``--profile`` wraps each experiment in :func:`repro.sim.profile.profile_run`
 and prints wall time, simulator events/sec, and the hottest functions
@@ -175,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan instead of executing: print each experiment's cells "
              "(to execute / cache hits / memo hits) and the warm-up "
              "prefixes it would simulate, then exit without simulating "
-             "(exact mode only; not with --fast)",
+             "(exact mode only; not with --fast; fig01 and "
+             "mice-elephants measure outside the runner and still "
+             "simulate)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

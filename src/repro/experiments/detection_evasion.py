@@ -14,6 +14,10 @@ optimized PDoS attack, and (c) a flooding attack of the same pulse rate:
   which the experiment demonstrates by running it at two sampling rates;
 * the conformance filter flags the flood's one-way bulk but scores the
   low-average-rate PDoS flow under its rate floor.
+
+Each condition is one runner cell on a shared 5 s warm-up: the cell's
+binned arrival series feeds the volume and DTW detectors, and its rate
+floor (half the bottleneck's capacity) gives the conformance verdict.
 """
 
 from __future__ import annotations
@@ -26,15 +30,13 @@ import numpy as np
 from repro.core.attack import PulseTrain
 from repro.core.optimizer import optimal_attack
 from repro.detection.dtw import DTWPulseDetector, DTWVerdict
-from repro.detection.feature import ConformanceDetector
 from repro.detection.flood import FloodDetector, FloodVerdict
 from repro.experiments.base import DumbbellPlatform, full_scale
-from repro.sim.trace import RateMonitor
+from repro.runner import Cell, CellResult, get_default_runner
+from repro.runner.cells import ARRIVAL_BIN_WIDTH
 from repro.util.units import mbps, ms
 
 __all__ = ["EvasionScenario", "EvasionReport", "run_detection_evasion"]
-
-_BIN_WIDTH = 0.02
 
 #: The victims every condition measures: 15 flows, the ns-2 stack.
 _PLATFORM = DumbbellPlatform(n_flows=15, seed=77)
@@ -78,51 +80,36 @@ class EvasionReport:
         return "\n".join(lines)
 
 
-def _run_condition(name: str, train: Optional[PulseTrain],
-                   horizon: float) -> EvasionScenario:
-    net = _PLATFORM.build()
+def _cell(train: Optional[PulseTrain], horizon: float) -> Cell:
+    """One condition: warm up, then *train* (or no attack) for *horizon*."""
+    return Cell(
+        platform=_PLATFORM, warmup=5.0, window=horizon, train=train,
+        rate_floor_bps=0.5 * _PLATFORM.bottleneck_bps, arrival_series=True,
+    )
+
+
+def _scenario(name: str, result: CellResult,
+              horizon: float) -> EvasionScenario:
+    """The detectors' verdicts on one measured condition."""
     capacity = _PLATFORM.bottleneck_bps
-    conformance = ConformanceDetector(min_rate_bps=0.5 * capacity)
-
-    warmup = 5.0
-    net.start_flows()
-    net.run(until=warmup)
-    offset = net.sim.now
-    arrivals = []
-    net.bottleneck.arrival_tap = arrivals.append
-    net.bottleneck.monitors.append(conformance.observe_forward)
-    net.reverse_bottleneck.monitors.append(conformance.observe_reverse)
-
-    attack_flow_id = None
-    if train is not None:
-        source = net.add_attack(train, start_time=warmup)
-        source.start()
-        attack_flow_id = source.flow_id
-    net.run(until=warmup + horizon)
-
-    rows = np.array(arrivals)
-    rows[:, 0] -= offset
-    monitor = RateMonitor(_BIN_WIDTH, horizon)
-    monitor.ingest(rows)
+    load = np.array(result.arrival_bytes)
     volume = FloodDetector(capacity, threshold_fraction=1.2, window=5.0)
-    flood_verdict = volume.inspect(monitor.bytes_per_bin, _BIN_WIDTH)
+    flood_verdict = volume.inspect(load, ARRIVAL_BIN_WIDTH)
     # The DTW detector, like its reference, examines a window of traffic
     # in progress -- skip the attack-onset transient (the TCP collapse
     # step would otherwise dominate the shape).
-    steady = monitor.bytes_per_bin[int(5.0 / _BIN_WIDTH):]
-    dtw_fast = DTWPulseDetector(sample_period=0.1).detect(steady, _BIN_WIDTH)
-    dtw_slow = DTWPulseDetector(sample_period=1.0).detect(steady, _BIN_WIDTH)
-    flagged = (
-        conformance.is_flagged(attack_flow_id)
-        if attack_flow_id is not None else False
-    )
-    mean_rate = float(monitor.bytes_per_bin.sum()) * 8.0 / horizon / capacity
+    steady = load[int(5.0 / ARRIVAL_BIN_WIDTH):]
+    dtw_fast = DTWPulseDetector(sample_period=0.1).detect(
+        steady, ARRIVAL_BIN_WIDTH)
+    dtw_slow = DTWPulseDetector(sample_period=1.0).detect(
+        steady, ARRIVAL_BIN_WIDTH)
+    mean_rate = float(load.sum()) * 8.0 / horizon / capacity
     return EvasionScenario(
         name=name,
         flood_verdict=flood_verdict,
         dtw_fast=dtw_fast,
         dtw_slow=dtw_slow,
-        conformance_flagged=flagged,
+        conformance_flagged=result.flagged_sources > 0,
         mean_rate_fraction=mean_rate,
     )
 
@@ -155,11 +142,17 @@ def run_detection_evasion(*, kappa_neutral: float = 1.0,
     averse = plan_for(kappa_averse)
     flood = PulseTrain.flooding(rate, horizon)
 
+    trains = {
+        "baseline": None,
+        "pdos-k1": neutral.train,
+        "pdos-k8": averse.train,
+        "flooding": flood,
+    }
+    results = get_default_runner().measure_many(
+        [_cell(train, horizon) for train in trains.values()])
     scenarios = {
-        "baseline": _run_condition("baseline", None, horizon),
-        "pdos-k1": _run_condition("pdos-k1", neutral.train, horizon),
-        "pdos-k8": _run_condition("pdos-k8", averse.train, horizon),
-        "flooding": _run_condition("flooding", flood, horizon),
+        name: _scenario(name, result, horizon)
+        for name, result in zip(trains, results)
     }
     return EvasionReport(scenarios=scenarios, gamma_star=neutral.gamma_star,
                          gamma_star_averse=averse.gamma_star)

@@ -9,9 +9,11 @@ Fig. 3(b): test-bed, 15 victim flows, attack ``T_extent = 100 ms,
 T_space = 2400 ms, R_attack = 50 Mb/s`` -- 24 pinnacles in a minute,
 period 2.5 s = T_AIMD.
 
-This driver runs both platforms, bins the bottleneck's offered load,
-applies the paper's normalize-then-PAA transform, and reports the
-pinnacle count and three period estimates.
+Each panel is one runner cell: a 5 s attack-free warm-up, then the
+attack train over the observation window, with the bottleneck's
+offered load binned (``Cell.arrival_series``).  This driver applies
+the paper's normalize-then-PAA transform to that series and reports
+the pinnacle count and three period estimates.
 """
 
 from __future__ import annotations
@@ -25,17 +27,16 @@ from repro.analysis.paa import normalize, paa_series
 from repro.analysis.sync import SynchronizationReport, analyze_synchronization
 from repro.core.attack import PulseTrain
 from repro.experiments.base import full_scale
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import RateMonitor
-from repro.testbed.dummynet import TestbedConfig, build_testbed
+from repro.runner import Cell, PlatformSpec, get_default_runner
+from repro.runner.cells import ARRIVAL_BIN_WIDTH
 from repro.util.units import mbps, ms
 
 __all__ = ["SyncResult", "run_fig03_ns2", "run_fig03_testbed"]
 
-#: fine bin used for the raw traffic series, seconds.
-_BIN_WIDTH = 0.02
 #: PAA segment width in bins (0.1 s segments, resolving >= 0.5 s periods).
 _PAA_WIDTH = 5
+#: attack-free warm-up before the observation window opens, seconds.
+_WARMUP = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,30 +77,20 @@ class SyncResult:
         ])
 
 
-def _offered_load(net, train: PulseTrain, horizon: float) -> np.ndarray:
-    """Warm *net* up, attack it with *train*, and bin the bottleneck's
-    offered load over the *horizon* seconds that follow the warm-up."""
-    warmup = 5.0
-    net.start_flows()
-    net.run(until=warmup)
-    # Observe the bottleneck's offered load from t = warmup.
-    offset = net.sim.now
-    arrivals = []
-    net.bottleneck.arrival_tap = arrivals.append
-    source = net.add_attack(train, start_time=warmup)
-    source.start()
-    net.run(until=warmup + horizon)
-    rows = np.array(arrivals)
-    rows[:, 0] -= offset
-    monitor = RateMonitor(_BIN_WIDTH, horizon)
-    monitor.ingest(rows)
-    return monitor.bytes_per_bin
+def _offered_load(platform: PlatformSpec, train: PulseTrain,
+                  horizon: float) -> np.ndarray:
+    """The bottleneck's binned offered load over the *horizon* seconds
+    after the warm-up, under *train*."""
+    cell = Cell(platform=platform, warmup=_WARMUP, window=horizon,
+                train=train, arrival_series=True)
+    [result] = get_default_runner().measure_many([cell])
+    return np.array(result.arrival_bytes)
 
 
 def _analyze(raw: np.ndarray, attack_period: float, horizon: float,
              platform: str) -> SyncResult:
     display = paa_series(normalize(raw), _PAA_WIDTH)
-    paa_bin = _BIN_WIDTH * _PAA_WIDTH
+    paa_bin = ARRIVAL_BIN_WIDTH * _PAA_WIDTH
     report = analyze_synchronization(display, paa_bin)
     return SyncResult(
         platform=platform,
@@ -119,8 +110,8 @@ def run_fig03_ns2(*, horizon: Optional[float] = None) -> SyncResult:
         ms(50), mbps(100), ms(1950),
         n_pulses=int(np.ceil(horizon / 2.0)) + 2,
     )
-    net = build_dumbbell(DumbbellConfig(n_flows=24, seed=11))
-    return _analyze(_offered_load(net, train, horizon), train.period,
+    platform = PlatformSpec(kind="dumbbell", n_flows=24, seed=11)
+    return _analyze(_offered_load(platform, train, horizon), train.period,
                     horizon, "ns-2")
 
 
@@ -135,6 +126,6 @@ def run_fig03_testbed(*, horizon: Optional[float] = None) -> SyncResult:
         ms(100), mbps(50), ms(2400),
         n_pulses=int(np.ceil(horizon / 2.5)) + 2,
     )
-    net = build_testbed(TestbedConfig(n_flows=15, seed=13))
-    return _analyze(_offered_load(net, train, horizon), train.period,
+    platform = PlatformSpec(kind="testbed", n_flows=15, seed=13)
+    return _analyze(_offered_load(platform, train, horizon), train.period,
                     horizon, "test-bed")

@@ -13,6 +13,9 @@ in the fast-recovery regime they lose the most in relative terms once
 the attack squeezes every flow toward a similar floor.  The report
 therefore presents both the absolute before/after volumes and the
 relative degradation.
+
+The baseline and the attacked run are two runner cells on one warm-up;
+each reports its per-flow goodput (``CellResult.flow_goodput_bytes``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.analysis.stats import FlowDamage, jain_fairness_index, per_flow_damag
 from repro.core.attack import PulseTrain
 from repro.core.timeout_model import FlowRegime, per_flow_predictions
 from repro.experiments.base import DumbbellPlatform
+from repro.runner import Cell, get_default_runner
 from repro.util.units import mbps, ms
 
 __all__ = ["FlowDamageReport", "run_flow_damage"]
@@ -99,18 +103,14 @@ def run_flow_damage(
         n_pulses=int(np.ceil(window / 0.2)) + 2,
     )
 
-    def measure(attacked: bool) -> np.ndarray:
-        net = platform.build()
-        net.start_flows()
-        net.run(until=warmup)
-        before = net.goodput_snapshot()
-        if attacked:
-            net.add_attack(train, start_time=warmup).start()
-        net.run(until=warmup + window)
-        return net.goodput_snapshot() - before
-
-    baseline = measure(False)
-    attacked = measure(True)
+    baseline, attacked = (
+        np.array(result.flow_goodput_bytes)
+        for result in get_default_runner().measure_many([
+            Cell(platform=platform, warmup=warmup, window=window,
+                 train=attack)
+            for attack in (None, train)
+        ])
+    )
 
     victims = platform.victim_population()
     predictions = per_flow_predictions(

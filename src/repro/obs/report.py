@@ -3,8 +3,8 @@
 Renders a fixed-width table with one row per experiment record
 (:meth:`repro.obs.store.ExperimentStore.experiment_records`) -- name,
 wall time, runner cell accounting (with the cache-hit ratio), engine
-throughput, and the headline simulation outcomes (delivered goodput,
-bottleneck drop rate) -- followed by a totals line.  Fields a record
+throughput, and the goodput the experiment's cells delivered (summed
+over its distinct cells) -- followed by a totals line.  Fields a record
 lacks render as ``-``; the report never fails on a sparse store (an
 experiment killed mid-run has no wall time yet).
 
@@ -67,23 +67,9 @@ class _Row:
         self.events_per_sec = (
             self.events / wall if self.events and wall else None
         )
-        self.goodput = _metric(record, "tcp.goodput_bytes")
-        self.drop_pct = self._bottleneck_drop_pct(record)
-
-    @staticmethod
-    def _bottleneck_drop_pct(record: dict) -> Optional[float]:
-        metrics = record.get("metrics") or {}
-        # The contested link is "bottleneck" on the dumbbell, "pipe" on
-        # the test-bed; take whichever is present.
-        for label in ("bottleneck", "pipe"):
-            dropped = metrics.get(f"link.{label}.dropped_packets")
-            accepted = metrics.get(f"link.{label}.accepted_packets")
-            if isinstance(dropped, (int, float)) and isinstance(
-                    accepted, (int, float)):
-                offered = dropped + accepted
-                if offered > 0:
-                    return 100.0 * dropped / offered
-        return None
+        self.goodput = record.get("goodput_bytes")
+        if not isinstance(self.goodput, (int, float)):
+            self.goodput = None
 
 
 _COLUMNS = (
@@ -94,7 +80,6 @@ _COLUMNS = (
     ("events", 10, ">"),
     ("kev/s", 7, ">"),
     ("goodput MB", 11, ">"),
-    ("drop %", 7, ">"),
 )
 
 
@@ -140,7 +125,6 @@ def summarize_records(records: Iterable[dict], *, sort: str = "time",
             _fmt(None if row.events_per_sec is None
                  else row.events_per_sec / 1e3, ".0f"),
             _fmt(None if row.goodput is None else row.goodput / 1e6, ".2f"),
-            _fmt(row.drop_pct),
         ]))
     if not rows:
         lines.append("(no experiment records)")

@@ -380,7 +380,9 @@ class ExperimentStore:
 
         Keys: ``name``, ``timestamp``, ``git_sha``, ``full`` and
         ``metrics`` always; ``elapsed_seconds`` and ``runner`` once the
-        experiment has finished.
+        experiment has finished; ``goodput_bytes``, the goodput summed
+        over the experiment's cell rows (one per distinct key), once it
+        has any.
         """
         records = []
         rows = self._db.execute(
@@ -409,6 +411,12 @@ class ExperimentStore:
                 metrics[metric_name] = (
                     value if payload is None else json.loads(payload))
             record["metrics"] = metrics
+            (goodput,) = self._db.execute(
+                "SELECT SUM(goodput_bytes) FROM (SELECT MIN(goodput_bytes)"
+                " AS goodput_bytes FROM cells WHERE experiment_id = ?"
+                " GROUP BY key)", (experiment_id,)).fetchone()
+            if goodput is not None:
+                record["goodput_bytes"] = goodput
             records.append(record)
         return records
 

@@ -90,6 +90,11 @@ def default_cache_dir() -> pathlib.Path:
     return root / "repro-pdos"
 
 
+def _floats(values) -> Optional[tuple]:
+    """A cached JSON list back as the result's tuple of floats."""
+    return None if values is None else tuple(float(v) for v in values)
+
+
 class ResultCache:
     """A directory of cached :class:`CellResult` entries."""
 
@@ -109,6 +114,8 @@ class ResultCache:
                 goodput_bytes=float(payload["goodput_bytes"]),
                 flagged_sources=None if flagged is None else int(flagged),
                 converged_at=None if converged is None else float(converged),
+                flow_goodput_bytes=_floats(payload.get("flow_goodput_bytes")),
+                arrival_bytes=_floats(payload.get("arrival_bytes")),
             )
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -122,6 +129,8 @@ class ResultCache:
             "goodput_bytes": result.goodput_bytes,
             "flagged_sources": result.flagged_sources,
             "converged_at": result.converged_at,
+            "flow_goodput_bytes": result.flow_goodput_bytes,
+            "arrival_bytes": result.arrival_bytes,
         }
         if meta:
             payload["meta"] = meta

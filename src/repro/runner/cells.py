@@ -16,8 +16,9 @@ warm-up that depends only on the platform and the warm-up length --
 the shared prefix once, freezing the network with
 :class:`~repro.sim.checkpoint.NetworkSnapshot`, and measuring every
 cell on a bit-identical fork.  Observers (a flight recorder, the
-conformance detector) attach to each cell's network after the fork, so
-the prefix is the same for observed and unobserved cells.
+conformance detector, the bottleneck's arrival tap) attach to each
+cell's network after the fork, so the prefix is the same for observed
+and unobserved cells.
 ``execute_cell(cell)`` and a grouped run of the same cell produce
 byte-for-byte equal :class:`CellResult`\\ s.
 """
@@ -28,6 +29,8 @@ import dataclasses
 import json
 import time
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.attack import PulseTrain
 from repro.core.throughput import VictimPopulation
@@ -42,13 +45,18 @@ from repro.sim.topology import (
     build_parking_lot,
     check_queue,
 )
+from repro.sim.trace import RateMonitor
 from repro.testbed.dummynet import PIPE_QUEUES, TestbedConfig, build_testbed
 from repro.util.errors import ValidationError
 from repro.util.validate import check_int, check_non_negative, check_positive
 
-__all__ = ["PlatformSpec", "DeploymentSpec", "Cell", "CellResult",
-           "GroupResult", "execute_cell", "execute_cell_group",
+__all__ = ["ARRIVAL_BIN_WIDTH", "PlatformSpec", "DeploymentSpec", "Cell",
+           "CellResult", "GroupResult", "execute_cell", "execute_cell_group",
            "goodput_rate", "measured_seconds", "warmup_key"]
+
+#: Bin width of :attr:`CellResult.arrival_bytes`, seconds: fine enough
+#: to resolve the paper's 50-150 ms pulses.
+ARRIVAL_BIN_WIDTH = 0.02
 
 
 def _tcp_payload(tcp: Optional[TCPConfig]) -> Optional[dict]:
@@ -306,6 +314,10 @@ class Cell:
             uses one because it only needs the γ landscape's shape.
             Part of the cell identity, so results integrated at
             different resolutions never share a cache entry.
+        arrival_series: when set, the result carries the bottleneck's
+            offered load over the window, binned
+            (:attr:`CellResult.arrival_bytes`; packet cells only).  The
+            tap is passive, so goodput is unaffected.
     """
 
     platform: PlatformSpec
@@ -317,6 +329,7 @@ class Cell:
     early_exit: Optional[ConvergenceConfig] = None
     backend: str = "packet"
     fluid_max_step: Optional[float] = None
+    arrival_series: bool = False
 
     def __post_init__(self) -> None:
         check_non_negative("warmup", self.warmup)
@@ -353,6 +366,11 @@ class Cell:
                 "the fluid backend integrates the full window in "
                 "milliseconds; early exit applies to packet cells only"
             )
+        if self.backend == "fluid" and self.arrival_series:
+            raise ValidationError(
+                "the arrival series is packet-level; fluid cells cannot "
+                "request it"
+            )
         if self.fluid_max_step is not None:
             if self.backend != "fluid":
                 raise ValidationError(
@@ -382,6 +400,8 @@ class Cell:
             payload["backend"] = self.backend
         if self.fluid_max_step is not None:
             payload["fluid_max_step"] = self.fluid_max_step
+        if self.arrival_series:
+            payload["arrival_series"] = True
         return payload
 
 
@@ -398,11 +418,21 @@ class CellResult:
             set, ``goodput_bytes`` covers only
             ``[warmup, converged_at]`` -- compare via
             :func:`goodput_rate`, never raw bytes.
+        flow_goodput_bytes: payload bytes each victim flow delivered in
+            the window, in flow order (packet cells; ``None`` on the
+            fluid backend).  ``goodput_bytes`` is measured on its own,
+            not summed from these.
+        arrival_bytes: the bottleneck's offered load, one total per
+            :data:`ARRIVAL_BIN_WIDTH` bin over
+            ``[warmup, warmup + window)``, or ``None`` unless the cell
+            set ``arrival_series``.
     """
 
     goodput_bytes: float
     flagged_sources: Optional[int] = None
     converged_at: Optional[float] = None
+    flow_goodput_bytes: Optional[Tuple[float, ...]] = None
+    arrival_bytes: Optional[Tuple[float, ...]] = None
 
 
 def measured_seconds(cell: Cell, result: CellResult) -> float:
@@ -429,9 +459,9 @@ def warmup_key(cell: Cell) -> str:
     to ``t = warmup``: same platform (topology, seeds, stack) and same
     warm-up length.  The attack train/deployment, the window length and
     the conformance detector's rate floor deliberately do not appear --
-    they only act after the prefix ends (the detector attaches at
-    ``t = warmup``, and its verdicts read attack flows, which start
-    there).
+    they only act after the prefix ends (the detector and the arrival
+    tap attach at ``t = warmup``, and the detector's verdicts read
+    attack flows, which start there).
     """
     payload = {
         "platform": cell.platform.describe(),
@@ -470,20 +500,35 @@ def _make_recorder(cell: Cell, record: bool):
     return FlightRecorder()
 
 
+def _arrival_bins(rows, cell: Cell) -> Tuple[float, ...]:
+    """Bin arrival-tap *rows* over the cell's window.
+
+    Each row's time is shifted by the warm-up, then the row lands in
+    its :data:`ARRIVAL_BIN_WIDTH` bin of ``[0, window)``.
+    """
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    rows[:, 0] -= cell.warmup
+    monitor = RateMonitor(ARRIVAL_BIN_WIDTH, cell.window)
+    monitor.ingest(rows)
+    return tuple(monitor.bytes_per_bin.tolist())
+
+
 def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
     """Apply the cell's attack to a warmed network and measure.
 
-    The observers are attached first, both purely passive: the cell's
+    The observers are attached first, all purely passive: the cell's
     conformance detector (bottleneck and return-link monitors), when it
-    has a rate floor, and an optional flight *recorder* (link arrival
-    and drop taps, sender telemetry pointers, an engine post-run hook).
-    The measured goodput is bit-identical with or without either.
+    has a rate floor, an optional flight *recorder* (link arrival and
+    drop taps, sender telemetry pointers, an engine post-run hook), and
+    the bottleneck's arrival tap, when the cell asks for the series.
+    The measured goodput is bit-identical with or without any of them.
     Attachment happens here, after any warm-start fork, because
     observers must never ride through a snapshot deep copy.  The
     recorder is detached on the way out, also when the run raises, so
     its raised GC threshold never outlives the cell.
     """
     before = net.aggregate_goodput_bytes()
+    flows_before = net.goodput_snapshot()
     detector = None
     if cell.rate_floor_bps is not None:
         from repro.detection.feature import ConformanceDetector
@@ -493,6 +538,15 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         net.reverse_bottleneck.monitors.append(detector.observe_reverse)
     if recorder is not None:
         recorder.attach(net, horizon=cell.warmup + cell.window)
+    arrivals = None
+    if cell.arrival_series:
+        # A recorder already taps the bottleneck with a row list (the
+        # tap is that list's ``append``): read its rows rather than
+        # replace them, so a recorded cell bins the rows an unrecorded
+        # one would.
+        tap = net.bottleneck.arrival_tap
+        arrivals = [] if tap is None else tap.__self__
+        net.bottleneck.arrival_tap = arrivals.append
     try:
         attack_flow_ids: List[int] = []
         if cell.deployment is not None:
@@ -518,6 +572,7 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         if recorder is not None:
             recorder.detach()
     goodput = net.aggregate_goodput_bytes() - before
+    flow_goodput = net.goodput_snapshot() - flows_before
 
     flagged = None
     if detector is not None:
@@ -528,6 +583,9 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         goodput_bytes=goodput,
         flagged_sources=flagged,
         converged_at=monitor.converged_at if monitor is not None else None,
+        flow_goodput_bytes=tuple(flow_goodput.tolist()),
+        arrival_bytes=(None if arrivals is None
+                       else _arrival_bins(arrivals, cell)),
     )
 
 

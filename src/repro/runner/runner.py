@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.obs import metrics as _obs
 from repro.runner.cache import ResultCache, cell_key
 from repro.runner.cells import (
+    ARRIVAL_BIN_WIDTH,
     Cell,
     CellResult,
     GroupResult,
@@ -342,11 +343,18 @@ def _placeholder_result(cell: Cell) -> CellResult:
 
     ``goodput_bytes == window`` makes every derived rate exactly 1.0,
     so downstream gain arithmetic stays finite without pretending to be
-    a measurement.
+    a measurement.  The per-flow goodputs and arrival bins are zeros of
+    the real result's shape, so every driver runs to completion.
     """
+    packet = cell.backend == "packet"
     return CellResult(
         goodput_bytes=float(cell.window),
         flagged_sources=0 if cell.rate_floor_bps is not None else None,
+        flow_goodput_bytes=(0.0,) * cell.platform.n_flows if packet else None,
+        arrival_bytes=(
+            (0.0,) * math.ceil(cell.window / ARRIVAL_BIN_WIDTH)
+            if cell.arrival_series else None
+        ),
     )
 
 

@@ -4,9 +4,10 @@ Per-arrival time series come from one source: a link's
 ``arrival_tap`` (see :class:`~repro.sim.link.Link`), which collects one
 number-only ``(time, queue_bytes, queue_packets, signed_size)`` row per
 arrival, the size negated for attack packets.  :class:`RateMonitor`
-bins such rows after the run -- the flight recorder's ``link.*.rate``
-series and the quasi-global-synchronization measurement of Fig. 3,
-which separates attack bytes from legitimate bytes.
+bins such rows after the run: the flight recorder's ``link.*.rate``
+series (total and attack bytes per bin) and a cell's
+``arrival_bytes``, the offered load that Fig. 3 and the detectors read
+(total bytes only).
 """
 
 from __future__ import annotations
@@ -67,20 +68,6 @@ class RateMonitor:
     def bytes_per_bin(self) -> np.ndarray:
         """Total bytes (attack + legitimate) per bin."""
         return self._total.copy()
-
-    @property
-    def attack_bytes_per_bin(self) -> np.ndarray:
-        """Attack bytes per bin."""
-        return self._attack.copy()
-
-    @property
-    def legit_bytes_per_bin(self) -> np.ndarray:
-        """Legitimate (non-attack) bytes per bin."""
-        return self._total - self._attack
-
-    def rate_bps(self) -> np.ndarray:
-        """Per-bin average arrival rate in bits per second."""
-        return self._total * 8.0 / self.bin_width
 
     def as_columns(self) -> np.ndarray:
         """``(time, total_bytes, attack_bytes)`` rows (flight-recorder

@@ -13,10 +13,8 @@ def experiment_record(name="fig06", **overrides):
         "metrics": {
             "engine.events_dispatched": 100_000.0,
             "engine.wall_seconds": 0.5,
-            "tcp.goodput_bytes": 20_000_000.0,
-            "link.bottleneck.accepted_packets": 900.0,
-            "link.bottleneck.dropped_packets": 100.0,
         },
+        "goodput_bytes": 20_000_000.0,
     }
     record.update(overrides)
     return record
@@ -31,23 +29,13 @@ class TestSummarize:
         assert "32" in row        # cells
         assert "25" in row        # hit %
         assert "200" in row       # 100k events / 0.5s = 200 kev/s
-        assert "20.00" in row     # goodput MB
-        assert "10.0" in row      # drop %
+        assert row.endswith("20.00")  # goodput MB, the last column
 
     def test_sparse_record_renders_dashes(self):
         text = summarize_records([{"name": "fig04"}])
         row = text.splitlines()[2]
         assert "fig04" in row
         assert "-" in row
-
-    def test_pipe_link_used_for_testbed_records(self):
-        record = experiment_record(name="fig12")
-        record["metrics"] = {
-            "link.pipe.accepted_packets": 300.0,
-            "link.pipe.dropped_packets": 100.0,
-        }
-        row = summarize_records([record]).splitlines()[2]
-        assert "25.0" in row  # 100 / 400 offered
 
     def test_totals_footer(self):
         text = summarize_records(
@@ -153,3 +141,28 @@ class TestRenderReport:
         with pytest.raises(FileNotFoundError, match="no such"):
             render_report([tmp_path / "absent.sqlite"])
         assert not (tmp_path / "absent.sqlite").exists()
+
+    def test_goodput_sums_the_experiments_cells(self, tmp_path):
+        # Goodput comes from the cell rows (one per distinct key), not
+        # from gauges that hold only the network that ran last.
+        from repro.obs.store import ExperimentStore
+        from repro.runner import Cell, CellResult, PlatformSpec
+
+        cell = Cell(platform=PlatformSpec(kind="dumbbell", n_flows=2,
+                                          seed=7),
+                    warmup=1.0, window=2.0)
+        store = ExperimentStore(tmp_path / "runlog.sqlite")
+        store.begin_run("fig06", timestamp=10.0)
+        store.begin_experiment("fig06", timestamp=20.0)
+        for key, goodput, source in (("a", 1_500_000.0, "executed"),
+                                     ("b", 2_250_000.0, "executed"),
+                                     ("a", 1_500_000.0, "memo")):
+            store.record_cell(key, cell, CellResult(goodput_bytes=goodput),
+                              source=source)
+        store.finish_experiment(
+            elapsed_seconds=1.0, runner={"cells": 3, "hit_ratio": 1 / 3},
+            metrics={"tcp.goodput_bytes": 9_000_000.0})
+        store.close()
+        [row] = [line for line in render_report([store.path]).splitlines()
+                 if line.startswith("fig06")]
+        assert row.split()[-1] == "3.75"

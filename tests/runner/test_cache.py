@@ -124,6 +124,14 @@ class TestResultCache:
         hit = cache.get(key)
         assert hit == CellResult(goodput_bytes=12345.5, flagged_sources=2)
 
+    def test_series_fields_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = CellResult(goodput_bytes=3.0,
+                            flow_goodput_bytes=(1.0, 0.1 + 0.2),
+                            arrival_bytes=(0.0, 1500.0, 40.0))
+        cache.put("ab" + "0" * 62, result)
+        assert cache.get("ab" + "0" * 62) == result
+
     def test_floats_survive_bit_exactly(self, tmp_path):
         cache = ResultCache(tmp_path)
         value = 0.1 + 0.2  # not representable exactly; repr round-trips

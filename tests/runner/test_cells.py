@@ -188,6 +188,23 @@ class TestCell:
             Cell(platform=self.platform(), warmup=1.0, window=2.0,
                  backend="fluid", fluid_max_step=0.0)
 
+    def test_arrival_series_keys_only_when_set(self):
+        # Cells without the series keep their identity byte for byte;
+        # the tap attaches after the warm-up, so both share a prefix.
+        from repro.runner.cells import warmup_key
+
+        plain = Cell(platform=self.platform(), warmup=1.0, window=2.0)
+        tapped = dataclasses.replace(plain, arrival_series=True)
+        assert "arrival_series" not in plain.describe()
+        assert tapped.describe() == {**plain.describe(),
+                                     "arrival_series": True}
+        assert warmup_key(tapped) == warmup_key(plain)
+
+    def test_fluid_backend_rejects_arrival_series(self):
+        with pytest.raises(ValidationError, match="arrival series"):
+            Cell(platform=self.platform(), warmup=1.0, window=2.0,
+                 backend="fluid", arrival_series=True)
+
     def test_backend_separates_warmup_groups(self):
         from repro.runner.cells import warmup_key
 
@@ -257,3 +274,56 @@ class TestExecuteCell:
         assert group.warmup_sims == 0
         assert group.warm_starts == 0
         assert group.warmup_seconds_saved == 0.0
+
+
+class TestCellMeasurements:
+    """Per-flow goodput (always) and the arrival series (on request)."""
+
+    def cell(self, **fields):
+        return Cell(
+            platform=PlatformSpec(kind="dumbbell", n_flows=3, seed=11),
+            warmup=1.0, window=2.0, train=small_train(), **fields,
+        )
+
+    def test_per_flow_goodput_covers_every_flow(self):
+        result = execute_cell(self.cell())
+        assert len(result.flow_goodput_bytes) == 3
+        assert sum(result.flow_goodput_bytes) == pytest.approx(
+            result.goodput_bytes)
+        assert result.arrival_bytes is None
+
+    def test_fluid_cells_carry_no_per_flow_goodput(self):
+        cell = dataclasses.replace(self.cell(), backend="fluid")
+        assert execute_cell(cell).flow_goodput_bytes is None
+
+    def test_arrival_series_bins_the_window(self):
+        from repro.runner.cells import ARRIVAL_BIN_WIDTH
+
+        plain = execute_cell(self.cell())
+        tapped = execute_cell(self.cell(arrival_series=True))
+        assert len(tapped.arrival_bytes) == round(2.0 / ARRIVAL_BIN_WIDTH)
+        assert sum(tapped.arrival_bytes) > 0
+        # The tap is passive: every other field is unchanged.
+        assert dataclasses.replace(tapped, arrival_bytes=None) == plain
+
+    def test_recorded_cell_reads_the_same_arrivals(self):
+        # The recorder taps the bottleneck too; the series must not
+        # depend on whether it is attached.
+        cell = self.cell(arrival_series=True)
+        recorder = FlightRecorder()
+        recorded = execute_cell(cell, recorder=recorder)
+        assert recorded == execute_cell(cell)
+        # ... and the recorder keeps its own capture of those rows.
+        rate = {s.name: s for s in recorder.harvest()}[
+            "link.bottleneck.rate"]
+        assert rate.column("total_bytes").sum() == pytest.approx(
+            sum(recorded.arrival_bytes))
+
+    def test_forked_cells_match_fresh_execution(self):
+        from repro.runner.cells import execute_cell_group
+
+        cells = [self.cell(arrival_series=True),
+                 dataclasses.replace(self.cell(), train=None)]
+        group = execute_cell_group(cells, record=True)
+        assert group.warm_starts == 1
+        assert list(group.results) == [execute_cell(c) for c in cells]

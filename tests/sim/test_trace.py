@@ -1,7 +1,6 @@
 """Observation: a link's arrival and drop taps, and the binned rate series."""
 
 import numpy as np
-import pytest
 
 from repro.sim.link import Link
 from repro.sim.node import Node
@@ -38,8 +37,9 @@ class TestRateMonitor:
     def test_attack_bytes_separated(self):
         monitor = RateMonitor(bin_width=1.0, horizon=2.0)
         monitor.ingest([row(0.1, 100), row(0.2, 500, attack=True)])
-        assert monitor.attack_bytes_per_bin[0] == 500.0
-        assert monitor.legit_bytes_per_bin[0] == 100.0
+        # (time, total_bytes, attack_bytes) per bin
+        assert monitor.as_columns().tolist() == [[0.5, 600.0, 500.0],
+                                                 [1.5, 0.0, 0.0]]
 
     def test_counts_dropped_by_default(self, sim):
         # Offered load: the tap sees every arrival, dropped or not.
@@ -58,11 +58,6 @@ class TestRateMonitor:
         monitor.ingest([row(5.0, 100), row(-1.0, 100)])
         assert monitor.bytes_per_bin.sum() == 0.0
 
-    def test_rate_bps_conversion(self):
-        monitor = RateMonitor(bin_width=0.5, horizon=1.0)
-        monitor.ingest([row(0.1, 1000)])
-        assert monitor.rate_bps()[0] == pytest.approx(16_000.0)
-
     def test_times_are_bin_centres(self):
         monitor = RateMonitor(bin_width=1.0, horizon=3.0)
         assert list(monitor.times) == [0.5, 1.5, 2.5]
@@ -80,8 +75,9 @@ class TestRateMonitor:
             total[int(t / 0.25)] += s
             if a:
                 attacked[int(t / 0.25)] += s
-        assert monitor.bytes_per_bin.tolist() == total
-        assert monitor.attack_bytes_per_bin.tolist() == attacked
+        columns = monitor.as_columns()
+        assert columns[:, 1].tolist() == total
+        assert columns[:, 2].tolist() == attacked
 
     def test_empty_rows(self):
         monitor = RateMonitor(bin_width=1.0, horizon=2.0)

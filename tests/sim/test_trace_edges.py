@@ -1,8 +1,6 @@
 """Edge cases for the binned rate series and the link taps (horizon
 boundaries, partial final bins, and taps set while a run is in flight)."""
 
-import pytest
-
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
@@ -58,13 +56,6 @@ class TestRateMonitorBoundaries:
         # 0.3 / 0.1 is 2.9999... in floats; ceil must still give 3 bins.
         monitor = RateMonitor(bin_width=0.1, horizon=0.3)
         assert monitor.n_bins == 3
-
-    def test_rate_bps_partial_final_bin_uses_nominal_width(self):
-        # Rates always normalize by the nominal bin width, even for the
-        # partial tail bin -- documented behaviour the figures rely on.
-        monitor = RateMonitor(bin_width=1.0, horizon=2.5)
-        monitor.ingest([row(2.25, 1000)])
-        assert monitor.rate_bps()[-1] == pytest.approx(8000.0)
 
     def test_attached_mid_run_sees_only_later_arrivals(self, sim):
         link = make_link(sim, rate_bps=1e6)

@@ -225,17 +225,18 @@ class TestStoreFlag:
 class TestObsReport:
     def test_report_renders_store(self, capsys, tmp_path):
         db = tmp_path / "runlog.sqlite"
-        assert main(["fig01", "--no-cache", "--store", str(db)]) == 0
+        assert main(["fig03b", "--no-cache", "--store", str(db)]) == 0
         capsys.readouterr()
         assert main(["obs", "report", str(db)]) == 0
         out = capsys.readouterr().out
         [row] = [line for line in out.splitlines()
-                 if line.startswith("fig01")]
-        # name, wall s, cells, hit %, events, kev/s, goodput MB, drop %
+                 if line.startswith("fig03b")]
+        # name, wall s, cells, hit %, events, kev/s, goodput MB
         fields = row.split()
-        assert len(fields) == 8
+        assert len(fields) == 7
+        assert fields[2] == "1"
         assert all(value != "-" for value in
-                   (fields[1], fields[4], fields[5], fields[6], fields[7]))
+                   (fields[1], fields[4], fields[5], fields[6]))
         assert "kev/s" in out
         assert "1 records" in out
 
@@ -465,6 +466,16 @@ class TestDryRunFlag:
         # Planning leaves no trace: nothing executed, nothing written.
         assert get_default_runner().stats.executed == 0
         assert not (tmp_path / "fig06.txt").exists()
+
+    @pytest.mark.parametrize("name", ["fig03a", "fig03b", "detection",
+                                      "flow-damage"])
+    def test_runner_drivers_plan_without_simulating(self, capsys, name):
+        from repro.sim.engine import total_events_dispatched
+
+        before = total_events_dispatched()
+        assert main([name, "--dry-run", "--no-cache"]) == 0
+        assert total_events_dispatched() == before
+        assert "to execute" in capsys.readouterr().out
 
     def test_rejects_observability_sinks(self, capsys, tmp_path):
         for extra in (["--store", str(tmp_path / "s.sqlite")],
