@@ -11,6 +11,7 @@ shorter than the sampling period averages away -- which
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -47,23 +48,30 @@ def dtw_distance(a: np.ndarray, b: np.ndarray,
         raise ValidationError(f"window must be >= 1, got {window}")
 
     band = max(window, abs(n - m)) if window is not None else max(n, m)
-    infinity = np.inf
-    previous = np.full(m + 1, infinity)
+    # Python floats and lists: indexing numpy scalars in this O(n*m)
+    # loop cost more than the arithmetic.  The two comparisons pick the
+    # first of equal operands, as min(up, left, diag) would.
+    a = a.tolist()
+    b = b.tolist()
+    infinity = math.inf
+    previous = [infinity] * (m + 1)
     previous[0] = 0.0
     for i in range(1, n + 1):
-        current = np.full(m + 1, infinity)
+        current = [infinity] * (m + 1)
         j_lo = max(1, i - band)
         j_hi = min(m, i + band)
         ai = a[i - 1]
+        left = infinity             # current[j_lo - 1], off the band
         for j in range(j_lo, j_hi + 1):
-            cost = abs(ai - b[j - 1])
-            current[j] = cost + min(
-                previous[j],        # insertion
-                current[j - 1],     # deletion
-                previous[j - 1],    # match
-            )
+            best = previous[j]          # insertion
+            if left < best:             # deletion
+                best = left
+            diag = previous[j - 1]      # match
+            if diag < best:
+                best = diag
+            left = current[j] = abs(ai - b[j - 1]) + best
         previous = current
-    return float(previous[m] / (n + m))
+    return previous[m] / (n + m)
 
 
 def square_wave_template(n_samples: int, period_samples: int,

@@ -111,8 +111,10 @@ class TCPSender:
         self.recover = -2
         self.rto_estimator = RTOEstimator(cfg.min_rto, cfg.max_rto,
                                           initial_rto=cfg.initial_rto)
-        # Per-flow deterministic RNG for the randomized-RTO defense.
-        self._rng = random.Random(0x5EED ^ (flow_id * 7919))
+        # Per-flow RNG for the randomized-RTO defense, seeded from
+        # _rng_seed() on its first draw: most runs never draw, and a
+        # seeded random.Random is about 2.5 KB per flow.
+        self._rng: Optional[random.Random] = None
         #: SACK scoreboard (RFC 2018/3517); None for non-SACK variants.
         self.scoreboard = (
             Scoreboard() if cfg.variant is TCPVariant.SACK else None
@@ -207,8 +209,13 @@ class TCPSender:
         calendar coordinates, since event objects never compare equal
         across deep copies), the per-flow RNG state, and every counter.
         Two senders with equal digests behave identically from here on.
+        An undrawn RNG digests as the freshly seeded one it will become,
+        built on the side so reading the digest leaves ``_rng`` unset.
         """
         rto_event = self._rto_event
+        rng = self._rng
+        if rng is None:
+            rng = random.Random(self._rng_seed())
         return (
             self.cwnd, self.ssthresh, self.cumack, self.next_seq,
             self.highest_sent, self.dupacks, self.in_fast_recovery,
@@ -219,7 +226,7 @@ class TCPSender:
             (rto_event.time, rto_event.seq, rto_event.cancelled),
             None if self.scoreboard is None else
             self.scoreboard.state_digest(),
-            self._rng.getstate(),
+            rng.getstate(),
             self.segments_sent, self.retransmissions,
             self.fast_retransmits, self.timeouts,
         )
@@ -462,8 +469,14 @@ class TCPSender:
         if jitter > 0.0:
             # Randomized timeouts (reference [7]): the attacker can no
             # longer predict when retransmissions re-enter the network.
-            delay *= 1.0 + jitter * self._rng.random()
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._rng_seed())
+            delay *= 1.0 + jitter * rng.random()
         self._rto_event = self.sim.schedule(delay, self._rto_fire)
+
+    def _rng_seed(self) -> int:
+        return 0x5EED ^ (self.flow_id * 7919)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

@@ -52,6 +52,27 @@ class TestDTWDistance:
         with pytest.raises(ValidationError):
             dtw_distance(np.ones(3), np.ones(3), window=0)
 
+    # Exact distances of the numpy-array implementation these replaced;
+    # the float-list loop must reproduce them bit for bit (``==``), so
+    # the detection verdicts built on them cannot move.
+    def test_pinned_banded(self):
+        rng = np.random.default_rng(2026)
+        pulses = znormalize(square_wave_template(48, 8, 0.3)
+                            + rng.normal(0, 0.2, 48))
+        template = znormalize(square_wave_template(48, 8, 0.3))
+        assert dtw_distance(pulses, template, window=4) == (
+            0.14849040991912701)
+
+    def test_pinned_unbanded(self):
+        rng = np.random.default_rng(2026)
+        a, b = rng.normal(0, 1, 25), rng.normal(0, 1, 25)
+        assert dtw_distance(a, b) == 0.41885206422076593
+
+    def test_pinned_unequal_lengths(self):
+        rng = np.random.default_rng(2026)
+        a, b = rng.normal(0, 1, 20), rng.normal(0, 1, 33)
+        assert dtw_distance(a, b, window=3) == 0.4481507557934436
+
 
 class TestTemplate:
     def test_duty_cycle_fraction(self):

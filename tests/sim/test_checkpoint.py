@@ -126,6 +126,39 @@ class TestForkBitIdentity:
         assert fork.aggregate_goodput_bytes() == net.aggregate_goodput_bytes()
 
 
+class TestLazyRTORandomness:
+    """The randomized-RTO stream is seeded on a sender's first draw, so a
+    snapshot may freeze a sender whose RNG does not exist yet."""
+
+    @staticmethod
+    def jittered_dumbbell():
+        net = build_dumbbell(DumbbellConfig(
+            n_flows=4, tcp=TCPConfig(rto_jitter=0.5), seed=9))
+        net.start_flows()
+        return net
+
+    @staticmethod
+    def rng_states(net):
+        return [s._rng.getstate() for s in net.senders]
+
+    def run_attacked(self, net, until):
+        net.add_attack(make_train(), start_time=2.0).start()
+        net.run(until)
+
+    @pytest.mark.parametrize("warmup", [0.0, 2.0])
+    def test_fork_draws_like_original(self, warmup):
+        net = self.jittered_dumbbell()
+        net.run(warmup)
+        drawn = [s._rng is not None for s in net.senders]
+        assert all(drawn) if warmup else not any(drawn)
+        fork = NetworkSnapshot(net).fork()
+        for candidate in (net, fork):
+            self.run_attacked(candidate, 5.0)
+        assert self.rng_states(fork) == self.rng_states(net)
+        assert fork.state_digest() == net.state_digest()
+        assert fork.aggregate_goodput_bytes() == net.aggregate_goodput_bytes()
+
+
 class TestForkIsolation:
     def test_forks_are_independent(self):
         net = warmed_dumbbell()

@@ -1,5 +1,7 @@
 """TCP sender: window growth, fast retransmit/recovery, timeouts."""
 
+import random
+
 import pytest
 
 from repro.obs.recorder import RECOVERY_KINDS, SeriesRecorder, _SenderTap
@@ -212,3 +214,47 @@ class TestRTTSampling:
         # Only retransmitted data so far; Karn forbids sampling it.
         srtt = h.sender.rto_estimator.srtt
         assert srtt is None or srtt == pytest.approx(0.2, abs=0.05)
+
+
+def eager_rng(flow_id):
+    """The per-flow RNG as senders once seeded it at construction."""
+    return random.Random(0x5EED ^ (flow_id * 7919))
+
+
+class TestRandomizedRTO:
+    def test_jittered_delays_follow_eager_stream(self, monkeypatch):
+        jitter = 0.5
+        h = TCPHarness(make_config(initial_cwnd=4.0, rto_jitter=jitter))
+        h.drop_seqs({0, 1, 2, 3})  # force timeouts, so timers re-arm
+        armed = []
+        schedule = h.sim.schedule
+
+        def spy(delay, fn, *args):
+            if fn == h.sender._rto_fire:
+                armed.append((h.sender.rto_estimator.rto, delay))
+            return schedule(delay, fn, *args)
+
+        monkeypatch.setattr(h.sim, "schedule", spy)
+        assert h.sender._rng is None
+        h.start()
+        h.run(5.0)
+        assert h.sender.timeouts >= 1 and len(armed) > 3
+        reference = eager_rng(h.sender.flow_id)
+        assert armed == [(rto, rto * (1.0 + jitter * reference.random()))
+                         for rto, _ in armed]
+        assert h.sender._rng.getstate() == reference.getstate()
+
+    def test_no_jitter_never_seeds(self):
+        h = TCPHarness(make_config(initial_cwnd=4.0))
+        h.drop_seqs({0, 1, 2, 3})
+        h.start()
+        h.run(5.0)
+        assert h.sender.timeouts >= 1
+        assert h.sender._rng is None
+
+    def test_undrawn_digest_reads_as_eager_and_stores_nothing(self):
+        h = TCPHarness(make_config(rto_jitter=0.5))
+        lazy = h.sender.state_digest()
+        assert h.sender._rng is None
+        h.sender._rng = eager_rng(h.sender.flow_id)
+        assert h.sender.state_digest() == lazy

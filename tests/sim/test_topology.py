@@ -2,6 +2,7 @@
 and state digest runs under."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestConstruction:
         snapshot = net.goodput_snapshot()
         assert snapshot.shape == (4,)
         assert snapshot.sum() == net.aggregate_goodput_bytes()
+
+
+class TestFootprint:
+    def test_build_bytes_per_flow(self):
+        # Per-flow state the run may never use (a seeded RNG per sender,
+        # a deque per link, a bound method per link) once made a
+        # 2,000-flow build cost about 11.5 KB per flow; allocated only
+        # where used, it is about 5.5 KB.
+        n_flows = 2000
+        build_dumbbell(DumbbellConfig(n_flows=2))  # first-use caches
+        tracemalloc.start()
+        try:
+            net = build_dumbbell(DumbbellConfig(n_flows=n_flows))
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.senders) == n_flows
+        assert traced / n_flows <= 7000
 
 
 class TestAttackPath:
