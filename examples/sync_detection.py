@@ -33,8 +33,9 @@ def main() -> None:
     net = build_dumbbell(DumbbellConfig(n_flows=24, seed=11))
     net.start_flows()
     net.run(until=5.0)
-    # One (time, queue_bytes, queue_packets, signed_size) row per
-    # bottleneck arrival from here on; attack sizes are negative.
+    # One (time, queue_bytes, queue_packets, signed_size, flow_id,
+    # accepted) row per bottleneck arrival from here on; attack sizes
+    # are negative.
     offset = net.sim.now
     arrivals = []
     net.bottleneck.arrival_tap = arrivals.append

@@ -7,28 +7,22 @@ deviate from legitimate flows.  The paper's point is that a PDoS
 attacker sends few enough packets to craft each one with fully
 consistent features, so such filters score the attack flow as clean.
 
-This module profiles flows from a link trace and scores each on two
-behavioural features that survive header spoofing:
+This module profiles flows from a link's arrival rows and scores each
+on a behavioural feature that survives header spoofing:
+**one-wayness** -- legitimate TCP has a reverse ACK stream; a pure
+datagram flood does not.
 
-* **one-wayness** -- legitimate TCP has a reverse ACK stream; a pure
-  datagram flood does not;
-* **burst ratio** -- peak-to-mean rate of the flow's arrivals.
-
-A flow is flagged when both features exceed their thresholds *and* the
-flow's average rate is non-negligible -- modelling a conservative filter
-tuned against false positives.  A PDoS attacker evades it by keeping the
-average rate under the rate floor (the same γ knob as Section 3).
+A flow is flagged when it is one-way *and* its average rate is
+non-negligible -- modelling a conservative filter tuned against false
+positives.  A PDoS attacker evades it by keeping the average rate under
+the rate floor (the same γ knob as Section 3).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
-from repro.sim.packet import Packet, PacketKind
 from repro.util.validate import check_positive
 
 __all__ = ["FlowProfile", "ConformanceDetector"]
@@ -40,9 +34,8 @@ class FlowProfile:
 
     Attributes:
         forward_packets / forward_bytes: data-direction arrivals.
-        reverse_packets: ACK-direction arrivals.
+        reverse_packets: return-link arrivals.
         first_time / last_time: observation span.
-        arrival_times: retained for burst-ratio computation.
     """
 
     forward_packets: int = 0
@@ -50,7 +43,6 @@ class FlowProfile:
     reverse_packets: int = 0
     first_time: float = float("inf")
     last_time: float = 0.0
-    arrival_times: List[float] = dataclasses.field(default_factory=list)
 
     def mean_rate_bps(self) -> float:
         """Average forward rate over the flow's observed lifetime."""
@@ -59,56 +51,48 @@ class FlowProfile:
             return 0.0
         return self.forward_bytes * 8.0 / span
 
-    def burst_ratio(self, bin_width: float = 0.1) -> float:
-        """Peak-bin rate divided by mean rate (1.0 for perfectly smooth)."""
-        if len(self.arrival_times) < 2:
-            return 1.0
-        times = np.asarray(self.arrival_times)
-        span = times[-1] - times[0]
-        if span <= 0:
-            return 1.0
-        bins = max(1, int(np.ceil(span / bin_width)))
-        counts, _ = np.histogram(times, bins=bins)
-        mean = counts.mean()
-        if mean == 0:
-            return 1.0
-        return float(counts.max() / mean)
-
     def one_way(self) -> bool:
         """True when the flow shows no reverse (ACK) traffic at all."""
         return self.reverse_packets == 0 and self.forward_packets > 0
 
 
 class ConformanceDetector:
-    """Flags flows that look like one-way bursty floods.
+    """Flags flows that look like one-way floods.
 
-    Attach :meth:`observe_forward` to the protected (data-direction) link
-    and :meth:`observe_reverse` to the return link, then call
-    :meth:`flagged_flows`.
+    Feed :meth:`ingest` the arrival rows (:data:`repro.sim.trace.
+    ROW_COLUMNS`) of the protected (data-direction) link and of its
+    return link, then call :meth:`flagged_flows`.
     """
 
-    def __init__(self, *, min_rate_bps: float = 1_000_000.0,
-                 min_burst_ratio: float = 3.0) -> None:
+    def __init__(self, *, min_rate_bps: float = 1_000_000.0) -> None:
         self.min_rate_bps = check_positive("min_rate_bps", min_rate_bps)
-        self.min_burst_ratio = check_positive(
-            "min_burst_ratio", min_burst_ratio
-        )
-        self.profiles: Dict[int, FlowProfile] = defaultdict(FlowProfile)
+        self.profiles: Dict[int, FlowProfile] = {}
 
     # ------------------------------------------------------------------
-    def observe_forward(self, packet: Packet, now: float, accepted: bool) -> None:
-        """Link-monitor callback for the data direction."""
-        profile = self.profiles[packet.flow_id]
-        profile.forward_packets += 1
-        profile.forward_bytes += packet.size_bytes
-        profile.first_time = min(profile.first_time, now)
-        profile.last_time = max(profile.last_time, now)
-        profile.arrival_times.append(now)
+    def _profile(self, flow_id: int) -> FlowProfile:
+        profile = self.profiles.get(flow_id)
+        if profile is None:
+            profile = self.profiles[flow_id] = FlowProfile()
+        return profile
 
-    def observe_reverse(self, packet: Packet, now: float, accepted: bool) -> None:
-        """Link-monitor callback for the ACK direction."""
-        if packet.kind is PacketKind.ACK:
-            self.profiles[packet.flow_id].reverse_packets += 1
+    def ingest(self, forward_rows: Iterable[tuple],
+               reverse_rows: Iterable[tuple]) -> None:
+        """Profile flows from a run's arrival rows.
+
+        Every forward arrival counts, dropped or not, and its bytes
+        accumulate in row order (bit-identical to adding each arrival
+        as it happens).  Every return-link arrival counts as reverse
+        traffic for its flow: on a dumbbell the return link carries
+        only ACKs.
+        """
+        for now, _, _, size, flow_id, _ in forward_rows:
+            profile = self._profile(flow_id)
+            profile.forward_packets += 1
+            profile.forward_bytes += abs(size)
+            profile.first_time = min(profile.first_time, now)
+            profile.last_time = max(profile.last_time, now)
+        for row in reverse_rows:
+            self._profile(row[4]).reverse_packets += 1
 
     # ------------------------------------------------------------------
     def flagged_flows(self) -> List[Tuple[int, FlowProfile]]:
@@ -127,22 +111,6 @@ class ConformanceDetector:
         ]
         flagged.sort(key=lambda item: item[1].mean_rate_bps(), reverse=True)
         return flagged
-
-    def bursty_flows(self) -> List[Tuple[int, FlowProfile]]:
-        """Flows whose burst ratio exceeds the threshold (any direction).
-
-        A secondary signature: pulsing attacks are extremely bursty even
-        when their average rate is low.  Reported separately because
-        legitimate short TCP flows are bursty too, so operators treat
-        this as corroboration, not as an alarm by itself.
-        """
-        bursty = [
-            (flow_id, profile)
-            for flow_id, profile in self.profiles.items()
-            if profile.burst_ratio() >= self.min_burst_ratio
-        ]
-        bursty.sort(key=lambda item: item[1].burst_ratio(), reverse=True)
-        return bursty
 
     def is_flagged(self, flow_id: int) -> bool:
         """Whether a specific flow is among the flagged set."""

@@ -24,8 +24,9 @@ Discipline (the same dual-dispatch contract as the registry):
   even an empty one -- costs more than the recorder's whole overhead
   budget (the bench gates attached capture at 5%), so the taps are
   ``list.append`` itself: ``Link.send`` appends one ``(time,
-  queue_bytes, queue_packets, signed_size)`` tuple per arrival (size
-  negated for attack packets) and the sender one ``(time, flow_id,
+  queue_bytes, queue_packets, signed_size, flow_id, accepted)`` tuple
+  per arrival (size negated for attack packets; see
+  :mod:`repro.sim.trace`) and the sender one ``(time, flow_id,
   cwnd)`` tuple per cwnd change, with no Python frame anywhere.  The
   rows hold numbers only, never object references: CPython's cyclic
   collector untracks number-only tuples after one survived
@@ -34,10 +35,10 @@ Discipline (the same dual-dispatch contract as the registry):
   and fan-out into series are deferred to
   :meth:`FlightRecorder.harvest` -- the rate series goes through
   :meth:`~repro.sim.trace.RateMonitor.ingest`, which accumulates in
-  arrival order, bit-identical to adding each arrival as it happens.
-  Drops are the exception: they are rare, so a separate ``drop_tap``
-  checked only on the drop branch keeps ``(time, packet)`` rows and
-  defers flow-id extraction to harvest.
+  arrival order, bit-identical to adding each arrival as it happens,
+  and the drop records are the rows whose ``accepted`` is false.  A
+  link's row list is shared with any other observer of that link
+  (:func:`~repro.sim.trace.arrival_rows`).
 * **Bounded memory.**  Sparse event series (recovery episodes, engine
   progress) go through :class:`SeriesRecorder`, a fixed-capacity
   ring.  The per-arrival and per-ACK capture lists are capped to the
@@ -60,6 +61,8 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows
 
 __all__ = ["Series", "SeriesRecorder", "FlightRecorder",
            "DEFAULT_CAPACITY", "DEFAULT_BIN_WIDTH", "contested_links"]
@@ -210,9 +213,9 @@ class FlightRecorder:
         self.bin_width = bin_width
         self.capacity = capacity
         self._rings: Dict[str, SeriesRecorder] = {}
-        #: (label, arrival rows, drop rows) per tapped link; fanned
-        #: out into the rate/drop/queue series at harvest.
-        self._taps: List[Tuple[str, list, list]] = []
+        #: (label, arrival rows) per tapped link; fanned out into the
+        #: rate/drop/queue series at harvest.
+        self._taps: List[Tuple[str, list]] = []
         self._sender_tap: Optional[_SenderTap] = None
         self._horizon = 0.0
         self._attached = False
@@ -231,9 +234,10 @@ class FlightRecorder:
     def attach(self, net, *, horizon: float) -> None:
         """Tap a built network's contested links, senders, and engine.
 
-        Purely passive: sets each contested link's ``arrival_tap`` /
-        ``drop_tap`` pointers (to a row list's C-level append -- see
-        the module docstring), each sender's ``telemetry`` pointer,
+        Purely passive: sets each contested link's ``arrival_tap``
+        pointer (to a row list's C-level append -- see the module
+        docstring; a link already tapped keeps its list, which the
+        recorder then shares), each sender's ``telemetry`` pointer,
         and registers an engine post-run hook.  No event is scheduled,
         so the simulation's state digests are unchanged.  Also raises
         the gen-0 GC threshold for the capture's duration (restored by
@@ -245,11 +249,7 @@ class FlightRecorder:
         self._horizon = horizon
 
         for label, link in contested_links(net):
-            arrivals: list = []
-            drops: list = []
-            self._taps.append((label, arrivals, drops))
-            link.arrival_tap = arrivals.append
-            link.drop_tap = drops.append
+            self._taps.append((label, arrival_rows(link)))
 
         recovery = self.ring(
             "tcp.recovery",
@@ -296,19 +296,15 @@ class FlightRecorder:
         The raw per-arrival link rows fan out here into three series
         per link: the binned arrival rate (via
         :meth:`~repro.sim.trace.RateMonitor.ingest`), the
-        ``(time, flow_id, is_attack)`` drop records, and the
-        ring-capped queue-depth-at-arrival samples.
+        ``(time, flow_id, is_attack)`` records of the dropped
+        arrivals, and the ring-capped queue-depth-at-arrival samples.
         """
-        from repro.sim.packet import PacketKind
-        from repro.sim.trace import RateMonitor
-
         self.detach()
 
-        attack_kind = PacketKind.ATTACK
         series: Dict[str, Series] = {}
-        for label, arrivals, drops in self._taps:
-            rows = (np.array(arrivals, dtype=np.float64) if arrivals
-                    else np.empty((0, 4)))
+        for label, arrivals in self._taps:
+            rows = np.array(arrivals, dtype=np.float64).reshape(
+                -1, len(ROW_COLUMNS))
             name = f"link.{label}.rate"
             rate = RateMonitor(self.bin_width, self._horizon)
             rate.ingest(rows)
@@ -316,12 +312,11 @@ class FlightRecorder:
                 name, ("time", "total_bytes", "attack_bytes"),
                 rate.as_columns())
             name = f"link.{label}.drops"
+            dropped = rows[rows[:, 5] == 0.0]
             series[name] = self._ring_cap(
                 name, ("time", "flow_id", "is_attack"),
-                np.array([(t, float(p.flow_id),
-                           float(p.kind is attack_kind))
-                          for t, p in drops], dtype=np.float64)
-                if drops else np.empty((0, 3)))
+                np.column_stack([dropped[:, 0], dropped[:, 4],
+                                 dropped[:, 3] < 0.0]))
             name = f"link.{label}.queue"
             series[name] = self._ring_cap(
                 name, ("time", "queue_bytes", "queue_packets"),

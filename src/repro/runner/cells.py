@@ -45,7 +45,7 @@ from repro.sim.topology import (
     build_parking_lot,
     check_queue,
 )
-from repro.sim.trace import RateMonitor
+from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows
 from repro.testbed.dummynet import PIPE_QUEUES, TestbedConfig, build_testbed
 from repro.util.errors import ValidationError
 from repro.util.validate import check_int, check_non_negative, check_positive
@@ -501,12 +501,12 @@ def _make_recorder(cell: Cell, record: bool):
 
 
 def _arrival_bins(rows, cell: Cell) -> Tuple[float, ...]:
-    """Bin arrival-tap *rows* over the cell's window.
+    """Bin arrival *rows* over the cell's window.
 
     Each row's time is shifted by the warm-up, then the row lands in
     its :data:`ARRIVAL_BIN_WIDTH` bin of ``[0, window)``.
     """
-    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    rows = np.array(rows, dtype=np.float64).reshape(-1, len(ROW_COLUMNS))
     rows[:, 0] -= cell.warmup
     monitor = RateMonitor(ARRIVAL_BIN_WIDTH, cell.window)
     monitor.ingest(rows)
@@ -517,36 +517,28 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
     """Apply the cell's attack to a warmed network and measure.
 
     The observers are attached first, all purely passive: the cell's
-    conformance detector (bottleneck and return-link monitors), when it
-    has a rate floor, an optional flight *recorder* (link arrival and
-    drop taps, sender telemetry pointers, an engine post-run hook), and
-    the bottleneck's arrival tap, when the cell asks for the series.
-    The measured goodput is bit-identical with or without any of them.
-    Attachment happens here, after any warm-start fork, because
-    observers must never ride through a snapshot deep copy.  The
-    recorder is detached on the way out, also when the run raises, so
-    its raised GC threshold never outlives the cell.
+    conformance detector, when it has a rate floor, an optional flight
+    *recorder* (link arrival taps, sender telemetry pointers, an engine
+    post-run hook), and the bottleneck's arrival series, when the cell
+    asks for it.  Each tapped link has one row list
+    (:func:`~repro.sim.trace.arrival_rows`) that every observer of it
+    reads after the run, so a recorded cell bins and profiles the rows
+    an unrecorded one would.  The measured goodput is bit-identical
+    with or without any of them.  Attachment happens here, after any
+    warm-start fork, because observers must never ride through a
+    snapshot deep copy.  The recorder is detached on the way out, also
+    when the run raises, so its raised GC threshold never outlives the
+    cell.
     """
     before = net.aggregate_goodput_bytes()
     flows_before = net.goodput_snapshot()
-    detector = None
-    if cell.rate_floor_bps is not None:
-        from repro.detection.feature import ConformanceDetector
-
-        detector = ConformanceDetector(min_rate_bps=cell.rate_floor_bps)
-        net.bottleneck.monitors.append(detector.observe_forward)
-        net.reverse_bottleneck.monitors.append(detector.observe_reverse)
     if recorder is not None:
         recorder.attach(net, horizon=cell.warmup + cell.window)
-    arrivals = None
-    if cell.arrival_series:
-        # A recorder already taps the bottleneck with a row list (the
-        # tap is that list's ``append``): read its rows rather than
-        # replace them, so a recorded cell bins the rows an unrecorded
-        # one would.
-        tap = net.bottleneck.arrival_tap
-        arrivals = [] if tap is None else tap.__self__
-        net.bottleneck.arrival_tap = arrivals.append
+    arrivals = reverse = None
+    if cell.arrival_series or cell.rate_floor_bps is not None:
+        arrivals = arrival_rows(net.bottleneck)
+    if cell.rate_floor_bps is not None:
+        reverse = arrival_rows(net.reverse_bottleneck)
     try:
         attack_flow_ids: List[int] = []
         if cell.deployment is not None:
@@ -575,7 +567,11 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
     flow_goodput = net.goodput_snapshot() - flows_before
 
     flagged = None
-    if detector is not None:
+    if cell.rate_floor_bps is not None:
+        from repro.detection.feature import ConformanceDetector
+
+        detector = ConformanceDetector(min_rate_bps=cell.rate_floor_bps)
+        detector.ingest(arrivals, reverse)
         flagged = sum(
             1 for flow_id in attack_flow_ids if detector.is_flagged(flow_id)
         )
@@ -584,8 +580,8 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         flagged_sources=flagged,
         converged_at=monitor.converged_at if monitor is not None else None,
         flow_goodput_bytes=tuple(flow_goodput.tolist()),
-        arrival_bytes=(None if arrivals is None
-                       else _arrival_bins(arrivals, cell)),
+        arrival_bytes=(_arrival_bins(arrivals, cell)
+                       if cell.arrival_series else None),
     )
 
 

@@ -15,10 +15,11 @@ the equivalent substrate built from scratch:
   dumbbell (Fig. 5) and parking-lot builders;
 * :mod:`repro.sim.checkpoint` -- warm-start snapshot/fork of a built
   network (simulate a shared warm-up once, fork each sweep cell);
-* :mod:`repro.sim.trace` -- binning of a link's arrival-tap rows into
-  the offered-load series;
-* :mod:`repro.sim.profile` -- cProfile wrapper reporting events/sec;
-* :mod:`repro.sim.tracefile` -- ns-2-format trace file writer/parser.
+* :mod:`repro.sim.trace` -- a link's one observation hook, its
+  arrival rows ``(time, queue_bytes, queue_packets, signed_size,
+  flow_id, accepted)``, and their binning into the offered-load
+  series;
+* :mod:`repro.sim.profile` -- cProfile wrapper reporting events/sec.
 """
 
 from repro.sim.attacker import CBRSource, PulseAttackSource
@@ -44,7 +45,6 @@ from repro.sim.topology import (
     make_red_queue,
 )
 from repro.sim.trace import RateMonitor
-from repro.sim.tracefile import TraceRecord, TraceWriter, read_trace
 from repro.sim.workload import FlowRecord, ShortFlowWorkload
 
 __all__ = [
@@ -73,11 +73,8 @@ __all__ = [
     "TCPReceiver",
     "TCPSender",
     "TCPVariant",
-    "TraceRecord",
-    "TraceWriter",
     "build_dumbbell",
     "make_droptail_queue",
     "make_red_queue",
     "profile_run",
-    "read_trace",
 ]

@@ -18,7 +18,7 @@ Each link is unidirectional; duplex connectivity uses two links.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import (
@@ -34,10 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.node import Node
 
-__all__ = ["Link", "LinkMonitor", "BufferedPacket"]
-
-#: Signature of a link monitor callback: (packet, time, accepted).
-LinkMonitor = Callable[[Packet, float, bool], None]
+__all__ = ["Link", "BufferedPacket"]
 
 _ATTACK = PacketKind.ATTACK
 
@@ -100,8 +97,7 @@ class Link:
         "_departures", "_queued_bytes", "_busy_until", "_track_buffer",
         "_tx_time", "_fast_admit", "_red_admit", "bytes_sent",
         "packets_sent", "bytes_dropped", "packets_dropped",
-        "peak_queue_bytes", "monitors", "arrival_tap", "drop_tap",
-        "_deliver",
+        "peak_queue_bytes", "arrival_tap", "_deliver",
     )
 
     def __init__(
@@ -158,29 +154,18 @@ class Link:
         self.packets_dropped = 0
         self.peak_queue_bytes = 0.0
 
-        #: Monitors invoked on every arrival at the link's ingress with
-        #: ``(packet, time, accepted)``, for observers that need the
-        #: packet itself: the ns-2 trace writer (seq, uid, endpoints)
-        #: and the conformance detector (per-flow profiles).  Numeric
-        #: time series come from :attr:`arrival_tap` instead.
-        self.monitors: List[LinkMonitor] = []
-
-        #: Flight-recorder fast tap (see :mod:`repro.obs.recorder`):
+        #: The link's one observation hook (see :mod:`repro.sim.trace`):
         #: when set, :meth:`send` feeds it one ``(time, queue_bytes,
-        #: queue_packets, signed_size)`` row per arrival, where the
-        #: size carries a negative sign for attack packets.  It must
-        #: be a C-level callable (``list.append``) fed number-only
-        #: tuples -- a Python callback per arrival costs more than the
-        #: recorder's whole overhead budget, and a tuple holding a
-        #: packet reference stays on the GC's scan list forever (the
-        #: cyclic collector untracks number-only tuples after one
-        #: survived collection).  ``None`` costs one pointer check.
+        #: queue_packets, signed_size, flow_id, accepted)`` row per
+        #: arrival, dropped or not.  The size carries a negative sign
+        #: for attack packets; the queue columns are the occupancy the
+        #: packet found.  It must be a row list's ``append``: a Python
+        #: callback per arrival costs more than the flight recorder's
+        #: whole overhead budget, and a row holding a packet reference
+        #: stays on the GC's scan list forever (the cyclic collector
+        #: untracks number-only tuples after one survived collection).
+        #: ``None`` costs one pointer check.
         self.arrival_tap: Optional[Callable] = None
-
-        #: Companion drop tap, fed ``(time, packet)`` per *dropped*
-        #: arrival only -- checked inside the drop branch, so it is
-        #: free on the accepted path.
-        self.drop_tap: Optional[Callable] = None
 
         #: Delivery callable of buffer-tracking (CHOKe) links, whose
         #: evict() cancels and reschedules deliveries: ``dst.receive``,
@@ -273,8 +258,8 @@ class Link:
 
         This is the per-packet hot path (every hop of every packet lands
         here), so departed-entry expiry is fused in, the drop-tail admit
-        check is inlined on the raw occupancy, and the monitor loop is
-        skipped when nothing is attached.
+        check is inlined on the raw occupancy, and an untapped link pays
+        one pointer check for observation.
         """
         sim = self.sim
         now = sim._now
@@ -318,22 +303,14 @@ class Link:
 
         tap = self.arrival_tap
         if tap is not None:
-            # Flight-recorder row: `queued`/`departures` hold the
-            # post-expiry occupancy excluding this packet; the append
-            # mutates only the recorder's buffer, so digests are
-            # unchanged.
+            # `queued`/`departures` hold the post-expiry occupancy
+            # excluding this packet; the append mutates only the
+            # observer's row list, so digests are unchanged.
             tap((now, queued, len(departures),
-                 -size if packet.kind is _ATTACK else size))
-
-        monitors = self.monitors
-        if monitors:
-            for monitor in monitors:
-                monitor(packet, now, accepted)
+                 -size if packet.kind is _ATTACK else size,
+                 packet.flow_id, accepted))
 
         if not accepted:
-            drop_tap = self.drop_tap
-            if drop_tap is not None:
-                drop_tap((now, packet))
             self.bytes_dropped += size
             self.packets_dropped += 1
             return False

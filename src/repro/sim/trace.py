@@ -1,13 +1,17 @@
-"""The binned offered-load series.
+"""A link's arrival rows and the binned offered-load series.
 
-Per-arrival time series come from one source: a link's
+Every observation of a link comes from one source: its
 ``arrival_tap`` (see :class:`~repro.sim.link.Link`), which collects one
-number-only ``(time, queue_bytes, queue_packets, signed_size)`` row per
-arrival, the size negated for attack packets.  :class:`RateMonitor`
-bins such rows after the run: the flight recorder's ``link.*.rate``
-series (total and attack bytes per bin) and a cell's
+number-only ``(time, queue_bytes, queue_packets, signed_size, flow_id,
+accepted)`` row per arrival (:data:`ROW_COLUMNS`), the size negated
+for attack packets.  Observers share one row list per link
+(:func:`arrival_rows`) and read it after the run:
+:class:`RateMonitor` bins the rows into the flight recorder's
+``link.*.rate`` series (total and attack bytes per bin) and a cell's
 ``arrival_bytes``, the offered load that Fig. 3 and the detectors read
-(total bytes only).
+(total bytes only); the recorder takes its drop records from the rows
+whose ``accepted`` is false, and the conformance detector its per-flow
+profiles from the flow ids.
 """
 
 from __future__ import annotations
@@ -18,7 +22,25 @@ import numpy as np
 
 from repro.util.validate import check_positive
 
-__all__ = ["RateMonitor"]
+__all__ = ["ROW_COLUMNS", "RateMonitor", "arrival_rows"]
+
+#: The columns of one arrival row.
+ROW_COLUMNS = ("time", "queue_bytes", "queue_packets", "signed_size",
+               "flow_id", "accepted")
+
+
+def arrival_rows(link) -> list:
+    """The list *link*'s arrival tap appends to, attaching one if unset.
+
+    Every observer of a link reads this one list, so a link tapped for
+    several observers still builds one row per arrival.
+    """
+    tap = link.arrival_tap
+    if tap is not None:
+        return tap.__self__
+    rows: list = []
+    link.arrival_tap = rows.append
+    return rows
 
 
 class RateMonitor:
@@ -42,14 +64,14 @@ class RateMonitor:
         self._attack = np.zeros(self.n_bins)
 
     def ingest(self, rows) -> None:
-        """Add arrival-tap rows to the bins.
+        """Add arrival rows (:data:`ROW_COLUMNS`) to the bins.
 
-        Each row is ``(time, queue_bytes, queue_packets, signed_size)``,
-        the size negative for attack packets; only the first and last
-        columns are read.  ``np.add.at`` accumulates in row order, so
+        Only the time and the signed size are read, the size negative
+        for attack packets.  ``np.add.at`` accumulates in row order, so
         the sums equal adding each arrival in sequence, bit for bit.
         """
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        rows = np.asarray(rows, dtype=np.float64).reshape(
+            -1, len(ROW_COLUMNS))
         signed = rows[:, 3]
         sizes = np.abs(signed)
         index = (rows[:, 0] / self.bin_width).astype(np.int64)

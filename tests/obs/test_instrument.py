@@ -113,45 +113,61 @@ class TestNetworkTelemetry:
         assert metrics.active() is None
 
 
+def canonical_attacked_net():
+    """The canonical attacked dumbbell (15 NewReno flows over RED,
+    gamma = 0.5, 100 ms extent), flows and attack started."""
+    config = DumbbellConfig()
+    net = build_dumbbell(config)
+    train = PulseTrain.from_gamma(
+        gamma=0.5, rate_bps=mbps(30), extent=ms(100),
+        bottleneck_bps=config.bottleneck_rate_bps, n_pulses=20,
+    )
+    net.start_flows()
+    net.add_attack(train, start_time=1.0).start()
+    return net
+
+
+def count_obs_calls(net):
+    """Run *net* in two segments, to 1.5 s and 3.0 s, under a profiler.
+
+    Returns the names of every Python function called in the
+    ``repro.obs`` package and of every ``Network.run`` /
+    ``Simulator.run`` call.
+    """
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+    run_codes = {Network.run.__code__: "Network.run",
+                 Simulator.run.__code__: "Simulator.run"}
+    obs_calls, runs = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(obs_dir):
+                obs_calls.append(code.co_name)
+            elif code in run_codes:
+                runs.append(run_codes[code])
+
+    sys.setprofile(profile)
+    try:
+        net.run(until=1.5)
+        net.run(until=3.0)
+    finally:
+        sys.setprofile(None)
+    return obs_calls, runs
+
+
 class TestMetricsOffPath:
     def test_off_path_asks_obs_once_per_run(self):
         """Metrics off: one ``repro.obs`` call per run, never per event.
 
-        The canonical attacked dumbbell (15 NewReno flows over RED,
-        gamma = 0.5, 100 ms extent) runs two segments under a profiler
-        that counts every Python call into the ``repro.obs`` package.
-        ``Network.run`` and ``Simulator.run`` may each ask it once, for
-        the active registry; a call per event or per packet would show
-        up thousands of times, whatever the host's speed.
+        The canonical attacked dumbbell runs two segments under a
+        profiler that counts every Python call into the ``repro.obs``
+        package.  ``Network.run`` and ``Simulator.run`` may each ask it
+        once, for the active registry; a call per event or per packet
+        would show up thousands of times, whatever the host's speed.
         """
-        config = DumbbellConfig()
-        net = build_dumbbell(config)
-        train = PulseTrain.from_gamma(
-            gamma=0.5, rate_bps=mbps(30), extent=ms(100),
-            bottleneck_bps=config.bottleneck_rate_bps, n_pulses=20,
-        )
-        net.start_flows()
-        net.add_attack(train, start_time=1.0).start()
-
-        obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
-        run_codes = {Network.run.__code__: "Network.run",
-                     Simulator.run.__code__: "Simulator.run"}
-        obs_calls, runs = [], []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                code = frame.f_code
-                if code.co_filename.startswith(obs_dir):
-                    obs_calls.append(code.co_name)
-                elif code in run_codes:
-                    runs.append(run_codes[code])
-
-        sys.setprofile(profile)
-        try:
-            net.run(until=1.5)
-            net.run(until=3.0)
-        finally:
-            sys.setprofile(None)
+        net = canonical_attacked_net()
+        obs_calls, runs = count_obs_calls(net)
 
         assert sorted(runs) == ["Network.run"] * 2 + ["Simulator.run"] * 2
         assert net.sim.events_executed > 10_000
@@ -160,6 +176,39 @@ class TestMetricsOffPath:
             f"{len(obs_calls)} calls into repro.obs over {len(runs)} runs "
             f"and {net.sim.events_executed} events: "
             f"{sorted(set(obs_calls))}")
+
+
+class TestRecordedPath:
+    def test_recorded_asks_obs_per_run_and_recovery(self):
+        """Recorder on: ``repro.obs`` calls per run and per recovery only.
+
+        The canonical attacked dumbbell, with a
+        :class:`~repro.obs.recorder.FlightRecorder` attached, runs the
+        same two profiled segments.  Arrivals, drops and cwnd changes
+        are captured by C-level ``list.append`` taps, so none of them
+        may cost a call: per run, the registry lookup, the engine
+        post-run hook and its progress row; per recovery episode, the
+        sender tap's ``on_recovery`` and its ring append.
+        """
+        from repro.obs.recorder import FlightRecorder
+
+        net = canonical_attacked_net()
+        recorder = FlightRecorder()
+        recorder.attach(net, horizon=3.0)
+        obs_calls, runs = count_obs_calls(net)
+        series = {s.name: s for s in recorder.harvest()}
+
+        recoveries = series["tcp.recovery"].n_rows
+        bound = 2 * len(runs) + 2 * recoveries
+        assert len(runs) == 4 and recoveries > 0
+        # Each per-event stream is longer than the bound, so a Python
+        # call per arrival, per drop or per cwnd change would break it.
+        for name in ("link.bottleneck.queue", "link.bottleneck.drops",
+                     "tcp.cwnd"):
+            assert series[name].n_rows > bound, name
+        assert len(obs_calls) <= bound, (
+            f"{len(obs_calls)} calls into repro.obs over {len(runs)} runs "
+            f"and {recoveries} recoveries: {sorted(set(obs_calls))}")
 
 
 class TestSnapshotMethods:

@@ -148,18 +148,16 @@ class TestFluidIsolation:
 class TestPacketTraceDeterminism:
     @staticmethod
     def _traced_run():
-        """A short attacked dumbbell with a full bottleneck packet trace."""
+        """A short attacked dumbbell with every bottleneck arrival row.
+
+        The rows carry each arrival's time, occupancy, signed size,
+        flow and verdict; the final state digest covers what they do
+        not (the packet uid stream and every sender).
+        """
         config = DumbbellConfig(n_flows=3, seed=23)
         net = build_dumbbell(config)
         trace = []
-
-        def tap(packet, now, accepted):
-            trace.append((
-                now, packet.uid, packet.flow_id, packet.kind.value,
-                packet.size_bytes, packet.seq, accepted,
-            ))
-
-        net.bottleneck.monitors.append(tap)
+        net.bottleneck.arrival_tap = trace.append
         train = PulseTrain.from_gamma(
             gamma=0.5, rate_bps=mbps(30), extent=ms(100),
             bottleneck_bps=config.bottleneck_rate_bps, n_pulses=10,
@@ -169,11 +167,13 @@ class TestPacketTraceDeterminism:
         for source in net.attack_sources:
             source.start()
         net.run(until=4.0)
-        return trace
+        return trace, net.state_digest()
 
     def test_trace_bit_identical(self):
-        first = self._traced_run()
-        second = self._traced_run()
+        first, first_digest = self._traced_run()
+        second, second_digest = self._traced_run()
         assert len(first) > 500  # the trace is non-trivial
+        assert not all(row[5] for row in first)  # and has drops
         # Tuple equality is exact on every field, floats included.
         assert first == second
+        assert first_digest == second_digest

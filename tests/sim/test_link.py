@@ -1,4 +1,4 @@
-"""Link serialization, propagation, buffering, and monitors."""
+"""Link serialization, propagation, buffering, and the arrival tap."""
 
 import pytest
 
@@ -103,22 +103,43 @@ class TestBuffering:
 
 
 class TestMonitors:
+    """The arrival tap, a link's one observation hook."""
+
     def test_monitor_sees_accepts_and_drops(self, sim, wire):
         link, _ = wire
-        seen = []
-        link.monitors.append(lambda pkt, now, ok: seen.append(ok))
+        rows = []
+        link.arrival_tap = rows.append
         for _ in range(12):
             link.send(make_packet())
+        seen = [row[5] for row in rows]
         assert seen.count(True) == 10
         assert seen.count(False) == 2
 
     def test_monitor_timestamps_are_send_times(self, sim, wire):
         link, _ = wire
-        stamps = []
-        link.monitors.append(lambda pkt, now, ok: stamps.append(now))
+        rows = []
+        link.arrival_tap = rows.append
         sim.schedule(1.5, link.send, make_packet())
         sim.run()
-        assert stamps == [1.5]
+        assert [row[0] for row in rows] == [1.5]
+
+    def test_row_carries_occupancy_flow_and_verdict(self, sim, wire):
+        # (time, queue_bytes, queue_packets, signed_size, flow_id,
+        # accepted): the occupancy the packet found, its size negated
+        # for attack packets, and the admission verdict.
+        link, _ = wire
+        rows = []
+        link.arrival_tap = rows.append
+        link.send(make_packet(flow_id=4))
+        link.send(make_packet(size=1000.0, flow_id=9,
+                              kind=PacketKind.ATTACK))
+        for _ in range(9):
+            link.send(make_packet(flow_id=4))
+        assert rows[0] == (0.0, 0.0, 0, 1500.0, 4, True)
+        assert rows[1] == (0.0, 1500.0, 1, -1000.0, 9, True)
+        assert rows[-1] == (0.0, 14500.0, 10, 1500.0, 4, False)
+        assert all(type(value) in (float, int, bool)
+                   for row in rows for value in row)
 
     def test_default_queue_provided(self, sim):
         a, b = Node(sim, 0), Node(sim, 1)

@@ -117,14 +117,14 @@ class TestFootprint:
 class TestAttackPath:
     def test_attack_traverses_bottleneck(self):
         net = build_dumbbell(DumbbellConfig(n_flows=2))
-        seen = []
-        net.bottleneck.monitors.append(
-            lambda pkt, now, ok: seen.append(pkt) if pkt.is_attack else None
-        )
+        rows = []
+        net.bottleneck.arrival_tap = rows.append
         train = PulseTrain.uniform(0.02, mbps(20), 0.0, n_pulses=1)
         net.add_attack(train).start()
         net.run(until=1.0)
-        assert len(seen) > 0
+        # Attack rows carry a negative size and the source's flow id.
+        assert any(row[3] < 0 and row[4] == net.attack_sources[0].flow_id
+                   for row in rows)
 
     def test_attack_packets_terminate_at_sink(self):
         net = build_dumbbell(DumbbellConfig(n_flows=2))

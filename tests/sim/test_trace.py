@@ -1,4 +1,5 @@
-"""Observation: a link's arrival and drop taps, and the binned rate series."""
+"""Observation: a link's arrival rows, its drops among them, and the
+binned rate series."""
 
 import numpy as np
 
@@ -6,7 +7,7 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.queues import DropTailQueue
-from repro.sim.trace import RateMonitor
+from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows
 
 
 def make_packet(kind=PacketKind.DATA, size=1000.0, flow_id=0):
@@ -14,9 +15,9 @@ def make_packet(kind=PacketKind.DATA, size=1000.0, flow_id=0):
 
 
 def row(time, size, attack=False):
-    """One arrival-tap row: ``(time, queue_bytes, queue_packets,
-    signed_size)``, the size negated for attack packets."""
-    return (time, 0.0, 0, -size if attack else size)
+    """One arrival row (:data:`ROW_COLUMNS`), the size negated for
+    attack packets."""
+    return (time, 0.0, 0, -size if attack else size, 0, True)
 
 
 def make_link(sim, rate_bps=1e3, queue_bytes=1000):
@@ -86,19 +87,38 @@ class TestRateMonitor:
 
 
 class TestDropTap:
+    """Drop records: the arrival rows whose ``accepted`` is false."""
+
+    @staticmethod
+    def drops(rows):
+        return [row for row in rows if not row[5]]
+
     def test_records_only_drops(self, sim):
         link = make_link(sim)
-        drops = []
-        link.drop_tap = drops.append
+        rows = arrival_rows(link)
         link.send(make_packet())
         link.send(make_packet(flow_id=3))
-        assert [(t, p.flow_id) for t, p in drops] == [(0.0, 3)]
+        assert [(r[0], r[4]) for r in self.drops(rows)] == [(0.0, 3)]
 
     def test_attack_vs_legit_split(self, sim):
         link = make_link(sim)
-        drops = []
-        link.drop_tap = drops.append
+        rows = arrival_rows(link)
         link.send(make_packet())
         link.send(make_packet(PacketKind.ATTACK))
         link.send(make_packet(PacketKind.DATA))
-        assert [p.is_attack for _, p in drops] == [True, False]
+        assert [r[3] < 0 for r in self.drops(rows)] == [True, False]
+
+
+class TestArrivalRows:
+    def test_attaches_one_list_and_shares_it(self, sim):
+        link = make_link(sim)
+        rows = arrival_rows(link)
+        assert arrival_rows(link) is rows
+        link.send(make_packet())
+        assert len(rows) == 1 and len(rows[0]) == len(ROW_COLUMNS)
+
+    def test_reads_a_list_already_tapped(self, sim):
+        link = make_link(sim)
+        rows = []
+        link.arrival_tap = rows.append
+        assert arrival_rows(link) is rows

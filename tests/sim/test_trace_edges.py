@@ -1,5 +1,5 @@
-"""Edge cases for the binned rate series and the link taps (horizon
-boundaries, partial final bins, and taps set while a run is in flight)."""
+"""Edge cases for the binned rate series and the arrival tap (horizon
+boundaries, partial final bins, and a tap set while a run is in flight)."""
 
 from repro.sim.link import Link
 from repro.sim.node import Node
@@ -13,8 +13,8 @@ def make_packet(size=1000.0):
 
 
 def row(time, size):
-    """A legitimate packet's arrival-tap row."""
-    return (time, 0.0, 0, size)
+    """A legitimate, accepted packet's arrival row."""
+    return (time, 0.0, 0, size, 0, True)
 
 
 def make_link(sim, rate_bps=1e4, queue_bytes=100_000):
@@ -74,18 +74,19 @@ class TestDropTapMidRun:
     def test_attached_mid_run_counts_only_later_drops(self, sim):
         # Queue of one packet: back-to-back sends overflow immediately.
         link = make_link(sim, rate_bps=1e3, queue_bytes=1000)
-        drops = []
+        rows = []
 
         def burst():
             for _ in range(3):
                 link.send(make_packet(size=1000))
 
         burst()  # two drops before the tap is set (buffer fits one)
-        sim.schedule(1.0, lambda: setattr(link, "drop_tap", drops.append))
+        sim.schedule(1.0, lambda: setattr(link, "arrival_tap", rows.append))
         # At t=2 the first packet (8 s serialization at 1 kb/s) still holds
         # the link and the buffer is full, so the whole second burst drops.
         sim.schedule(2.0, burst)
         sim.run()
+        drops = [row for row in rows if not row[5]]
         assert link.packets_dropped == 5
-        assert len(drops) == 3
-        assert all(t >= 2.0 for t, _ in drops)
+        assert len(drops) == 3 == len(rows)
+        assert all(row[0] >= 2.0 for row in drops)
