@@ -1,8 +1,9 @@
 """Golden digests of the forensic time series and detector verdicts.
 
 Fig. 1 (cwnd per epoch), Fig. 3 (binned offered load), the
-detection-evasion verdicts, the distributed-deployment flags and the
-per-flow damage are all read from in-sim observers.  Each digest below is the sha256 of an
+detection-evasion verdicts, the distributed-deployment flags, the
+per-flow damage and the mice-vs-elephants outcomes are all read from
+in-sim observers.  Each digest below is the sha256 of an
 experiment's observable output at a short horizon; a change to how the
 series are observed must leave every one of them byte for byte equal.
 """
@@ -14,6 +15,7 @@ from repro.experiments.distributed_attack import run_distributed_attack
 from repro.experiments.fig01_cwnd import run_fig01
 from repro.experiments.fig03_sync import run_fig03_ns2, run_fig03_testbed
 from repro.experiments.flow_damage import run_flow_damage
+from repro.experiments.mice_elephants import run_mice_elephants
 from repro.runner import ExperimentRunner, set_default_runner
 
 GOLDEN = {
@@ -29,6 +31,8 @@ GOLDEN = {
         "f1066f3325b651159499ad24e7b439a9af104b57b78d2c7297ab78eb4b4f2feb",
     "flow_damage":
         "e948981ea8323296c4f29e5b37b225046fe8939b582c769fa8f3b7e96e4aaea2",
+    "mice_elephants":
+        "2326d5bfbe940f45bcc47894934ab7e254e4ce2da93f7816119f17ed51a76c19",
 }
 
 
@@ -101,3 +105,9 @@ def test_flow_damage_per_flow():
             for d in report.damages]
     assert digest(rows, report.fairness_before, report.fairness_during) \
         == GOLDEN["flow_damage"]
+
+
+def test_mice_elephants_outcomes():
+    result = run_mice_elephants(window=18.0, n_elephants=6)
+    assert digest(result.baseline, result.attacked) \
+        == GOLDEN["mice_elephants"]
