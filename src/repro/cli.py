@@ -28,17 +28,9 @@ bit-identical regardless of job count or cache state.
 ``--dry-run`` plans instead of executing: each experiment prints the
 cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
-simulation (cells that would execute resolve to placeholders).  Two
-experiments still simulate under it, because they measure outside the
-runner: ``fig01`` and ``mice-elephants``.  It refuses fast mode: the
-adaptive planner picks its cells from measured gains, which a dry run
-does not have.
-
-``--profile`` wraps each experiment in :func:`repro.sim.profile.profile_run`
-and prints wall time, simulator events/sec, and the hottest functions
-after the rendering.  Profile the default serial mode (``--jobs 1``,
-ideally ``--no-cache``): cells executed by worker processes or answered
-from the cache dispatch no simulator events in this process.
+simulation (cells that would execute resolve to placeholders).  It
+refuses fast mode: the adaptive planner picks its cells from measured
+gains, which a dry run does not have.
 
 Observability: diagnostics go through the ``repro`` logger (``-v`` for
 per-cell debug lines, ``-q`` for renderings only).  ``--store [PATH]``
@@ -158,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
              "distinct cache keys",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="run each experiment under cProfile and print wall time, "
-             "simulator events/sec, and the hottest functions (results "
-             "are unchanged; profiling is observation only)",
-    )
-    parser.add_argument(
         "-o", "--output-dir", type=pathlib.Path, default=None,
         help="also write each rendering to DIR/<name>.txt",
     )
@@ -177,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan instead of executing: print each experiment's cells "
              "(to execute / cache hits / memo hits) and the warm-up "
              "prefixes it would simulate, then exit without simulating "
-             "(exact mode only; not with --fast; fig01 and "
-             "mice-elephants measure outside the runner and still "
-             "simulate)",
+             "(exact mode only; not with --fast)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -254,8 +238,7 @@ def _make_runner(args):  # deferred import keeps `--help` fast
                             dry_run=args.dry_run)
 
 
-def _run_one(name: str, output_dir, runner=None, profile=False,
-             store=None) -> None:
+def _run_one(name: str, output_dir, runner=None, store=None) -> None:
     from repro.obs import metrics as obs_metrics
 
     if runner is not None and runner.dry_run:
@@ -282,19 +265,12 @@ def _run_one(name: str, output_dir, runner=None, profile=False,
         registry = obs_metrics.enable()
         store.begin_experiment(name, timestamp=started)
     try:
-        if profile:
-            from repro.sim.profile import profile_run
-            text, report = profile_run(EXPERIMENTS[name], label=name)
-        else:
-            text = EXPERIMENTS[name]()
-            report = None
+        text = EXPERIMENTS[name]()
     finally:
         if registry is not None:
             obs_metrics.disable()
     elapsed = time.time() - started
     print(text)
-    if report is not None:
-        print(report.render())
     if mark is not None:
         _log.info("[%s: %.1fs; %s]\n", name, elapsed,
                   runner.stats.since(mark))
@@ -556,8 +532,7 @@ def main(argv=None) -> int:
     run_started = time.time()
     try:
         for name in names:
-            _run_one(name, args.output_dir, runner, profile=args.profile,
-                     store=store)
+            _run_one(name, args.output_dir, runner, store=store)
     finally:
         # Tear down the persistent worker pool once all experiments in
         # this invocation have drained it.

@@ -18,14 +18,11 @@ traffic far exceeds what the aggregate throughput number suggests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.core.attack import PulseTrain
 from repro.experiments.base import DumbbellPlatform
-from repro.runner import PlatformSpec
-from repro.sim.workload import ShortFlowWorkload
+from repro.runner import Cell, CellResult, get_default_runner
 from repro.util.units import mbps, ms
 
 __all__ = ["MiceElephantsResult", "run_mice_elephants"]
@@ -91,34 +88,27 @@ class MiceElephantsResult:
         return "\n".join(lines)
 
 
-def _run_condition(train: Optional[PulseTrain], *, platform: PlatformSpec,
-                   warmup: float, window: float) -> PopulationOutcome:
-    net = platform.build()
-    mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
-    workload = ShortFlowWorkload(
-        net.sim, mice_src, mice_dst, tcp=platform.tcp,
-        mean_size_segments=15.0, mean_interarrival=0.4,
-        seed=platform.seed + 1,
-    )
-    net.start_flows()
-    net.run(until=warmup)
-    elephants_before = net.aggregate_goodput_bytes()
-    workload.start()
-    if train is not None:
-        net.add_attack(train, start_time=warmup).start()
-    net.run(until=warmup + window)
-    workload.finalize()
+def _outcome(result: CellResult, window: float) -> PopulationOutcome:
+    """One condition's populations, from its cell's raw outcome.
 
-    goodput = (net.aggregate_goodput_bytes() - elephants_before) * 8 / window
-    percentiles = workload.fct_percentiles((50, 90, 99))
+    The percentiles and the unfinished fraction are computed as
+    :class:`~repro.sim.workload.ShortFlowWorkload` computes them.
+    """
+    fcts = list(result.mice_fcts)
+    launched = result.mice_launched
+    percentiles = {
+        p: float(np.percentile(fcts, p)) if fcts else float("nan")
+        for p in (50, 90, 99)
+    }
     return PopulationOutcome(
-        elephant_goodput_bps=goodput,
-        mice_completed=len(workload.completed_records()),
-        mice_launched=workload.launched,
+        elephant_goodput_bps=result.goodput_bytes * 8 / window,
+        mice_completed=len(fcts),
+        mice_launched=launched,
         fct_p50=percentiles[50],
         fct_p90=percentiles[90],
         fct_p99=percentiles[99],
-        unfinished_fraction=workload.unfinished_fraction(),
+        unfinished_fraction=(
+            (launched - len(fcts)) / launched if launched else 0.0),
     )
 
 
@@ -132,15 +122,25 @@ def run_mice_elephants(
     window: float = 30.0,
     seed: int = 41,
 ) -> MiceElephantsResult:
-    """Measure both populations with and without the attack."""
-    platform = DumbbellPlatform(n_flows=n_elephants, seed=seed)
+    """Measure both populations with and without the attack.
+
+    The mice launch from ``t = warmup``, a mean 0.4 s apart.
+    """
+    platform = dataclasses.replace(
+        DumbbellPlatform(n_flows=n_elephants, seed=seed),
+        extra=(("mice_interarrival", 0.4),),
+    )
     train = PulseTrain.from_gamma(
         gamma=gamma, rate_bps=rate_bps, extent=extent,
         bottleneck_bps=platform.bottleneck_bps,
         n_pulses=int(np.ceil(window / 0.2)) + 2,
     )
-    kwargs = dict(platform=platform, warmup=warmup, window=window)
-    return MiceElephantsResult(
-        baseline=_run_condition(None, **kwargs),
-        attacked=_run_condition(train, **kwargs),
+    baseline, attacked = (
+        _outcome(result, window)
+        for result in get_default_runner().measure_many([
+            Cell(platform=platform, warmup=warmup, window=window,
+                 train=attack)
+            for attack in (None, train)
+        ])
     )
+    return MiceElephantsResult(baseline=baseline, attacked=attacked)

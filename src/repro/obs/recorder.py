@@ -62,7 +62,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows
+from repro.sim.trace import (ROW_COLUMNS, CwndTap, RateMonitor, arrival_rows,
+                             cwnd_rows)
 
 __all__ = ["Series", "SeriesRecorder", "FlightRecorder",
            "DEFAULT_CAPACITY", "DEFAULT_BIN_WIDTH", "contested_links"]
@@ -167,22 +168,20 @@ def contested_links(net) -> List[Tuple[str, object]]:
             (f"{label}_reverse", net.reverse_bottleneck)]
 
 
-class _SenderTap:
+class _SenderTap(CwndTap):
     """The ``TCPSender.telemetry`` listener: cwnd + recovery capture.
 
     cwnd changes are the second-hottest capture path (one per ACK that
-    grows the window), so the sender hot path bypasses any method of
-    ours and calls :attr:`cwnd_append` -- the row list's own C-level
-    append -- directly; recovery entries are rare and use a plain
-    ring.
+    grows the window), so they go to the shared row list of
+    :class:`~repro.sim.trace.CwndTap`; recovery entries are rare and
+    use a plain ring.
     """
 
-    __slots__ = ("cwnd_rows", "cwnd_append", "recovery")
+    __slots__ = ("recovery",)
 
-    def __init__(self, recovery: SeriesRecorder) -> None:
-        #: ``(time, flow_id, cwnd)`` rows, appended by the sender.
-        self.cwnd_rows: List[Tuple[float, int, float]] = []
-        self.cwnd_append = self.cwnd_rows.append
+    def __init__(self, recovery: SeriesRecorder,
+                 rows: Optional[list] = None) -> None:
+        super().__init__(rows)
         self.recovery = recovery
 
     def on_recovery(self, flow_id: int, now: float, kind: str, cwnd: float,
@@ -237,8 +236,9 @@ class FlightRecorder:
         Purely passive: sets each contested link's ``arrival_tap``
         pointer (to a row list's C-level append -- see the module
         docstring; a link already tapped keeps its list, which the
-        recorder then shares), each sender's ``telemetry`` pointer,
-        and registers an engine post-run hook.  No event is scheduled,
+        recorder then shares), each sender's ``telemetry`` pointer
+        (sharing the senders' cwnd row list the same way), and
+        registers an engine post-run hook.  No event is scheduled,
         so the simulation's state digests are unchanged.  Also raises
         the gen-0 GC threshold for the capture's duration (restored by
         :meth:`detach`; see ``_GC_GEN0_THRESHOLD``).
@@ -254,7 +254,8 @@ class FlightRecorder:
         recovery = self.ring(
             "tcp.recovery",
             ("time", "flow_id", "kind", "cwnd", "ssthresh", "rto"))
-        tap = self._sender_tap = _SenderTap(recovery)
+        rows = cwnd_rows(net.senders)
+        tap = self._sender_tap = _SenderTap(recovery, rows)
         for sender in net.senders:
             sender.telemetry = tap
 

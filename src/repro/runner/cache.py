@@ -110,12 +110,19 @@ class ResultCache:
             payload = json.loads(self._path(key).read_text())
             flagged = payload["flagged_sources"]
             converged = payload.get("converged_at")
+            cwnd = payload.get("cwnd_rows")
+            launched = payload.get("mice_launched")
             return CellResult(
                 goodput_bytes=float(payload["goodput_bytes"]),
                 flagged_sources=None if flagged is None else int(flagged),
                 converged_at=None if converged is None else float(converged),
                 flow_goodput_bytes=_floats(payload.get("flow_goodput_bytes")),
                 arrival_bytes=_floats(payload.get("arrival_bytes")),
+                cwnd_rows=None if cwnd is None else tuple(
+                    (float(t), int(flow_id), float(w))
+                    for t, flow_id, w in cwnd),
+                mice_launched=None if launched is None else int(launched),
+                mice_fcts=_floats(payload.get("mice_fcts")),
             )
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -131,6 +138,9 @@ class ResultCache:
             "converged_at": result.converged_at,
             "flow_goodput_bytes": result.flow_goodput_bytes,
             "arrival_bytes": result.arrival_bytes,
+            "cwnd_rows": result.cwnd_rows,
+            "mice_launched": result.mice_launched,
+            "mice_fcts": result.mice_fcts,
         }
         if meta:
             payload["meta"] = meta

@@ -16,9 +16,9 @@ warm-up that depends only on the platform and the warm-up length --
 the shared prefix once, freezing the network with
 :class:`~repro.sim.checkpoint.NetworkSnapshot`, and measuring every
 cell on a bit-identical fork.  Observers (a flight recorder, the
-conformance detector, the bottleneck's arrival tap) attach to each
-cell's network after the fork, so the prefix is the same for observed
-and unobserved cells.
+conformance detector, the bottleneck's arrival tap, the senders' cwnd
+listener) attach to each cell's network after the fork, so the prefix
+is the same for observed and unobserved cells.
 ``execute_cell(cell)`` and a grouped run of the same cell produce
 byte-for-byte equal :class:`CellResult`\\ s.
 """
@@ -45,7 +45,7 @@ from repro.sim.topology import (
     build_parking_lot,
     check_queue,
 )
-from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows
+from repro.sim.trace import ROW_COLUMNS, RateMonitor, arrival_rows, cwnd_rows
 from repro.testbed.dummynet import PIPE_QUEUES, TestbedConfig, build_testbed
 from repro.util.errors import ValidationError
 from repro.util.validate import check_int, check_non_negative, check_positive
@@ -91,11 +91,15 @@ _QUEUES = {
     "testbed": PIPE_QUEUES,
 }
 
-#: ParkingLotConfig fields a spec's ``extra`` may set: every field but
-#: the ones :meth:`PlatformSpec.to_config` fills from the spec itself.
-_EXTRA_FIELDS = frozenset(
-    field.name for field in dataclasses.fields(ParkingLotConfig)
-) - {"long_flows", "queue", "tcp", "seed"}
+#: Platform kind -> the config fields a spec's ``extra`` may set: every
+#: field but the ones :meth:`PlatformSpec.to_config` fills from the spec
+#: itself.
+_EXTRA_FIELDS = {
+    kind: frozenset(field.name for field in dataclasses.fields(config))
+    - {"n_flows", "long_flows", "queue", "tcp", "seed"}
+    for kind, config in (("dumbbell", DumbbellConfig),
+                         ("parking_lot", ParkingLotConfig))
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,12 +130,14 @@ class PlatformSpec:
             :class:`ValidationError` when the spec is made.
         tcp: the victim stack; ``None`` selects the platform's stock
             configuration.
-        extra: additional :class:`~repro.sim.topology.ParkingLotConfig`
-            fields as a tuple of ``(name, value)`` pairs (parking lot
-            only) -- e.g. ``(("n_segments", 3), ("attack_segments",
-            (0, 1)))``.  A tuple rather than a dict keeps the spec
-            hashable; ``None`` (the default) keeps dumbbell/testbed
-            specs byte-identical to their historical cache identity.
+        extra: additional :class:`~repro.sim.topology.DumbbellConfig`
+            or :class:`~repro.sim.topology.ParkingLotConfig` fields as a
+            tuple of ``(name, value)`` pairs -- e.g. ``(("n_segments",
+            3), ("attack_segments", (0, 1)))`` (not on the test-bed).  A
+            tuple rather than a dict keeps the spec hashable; a
+            dumbbell spec describes it only when set, so ``None`` (the
+            default) keeps dumbbell specs byte-identical to their
+            historical cache identity.
     """
 
     kind: str
@@ -149,16 +155,18 @@ class PlatformSpec:
             )
         check_queue(self.queue, _QUEUES[self.kind])
         if self.extra is not None:
-            if self.kind != "parking_lot":
+            if self.kind not in _EXTRA_FIELDS:
                 raise ValidationError(
-                    "extra platform fields apply to the parking lot only"
+                    "extra platform fields apply to the dumbbell and the "
+                    "parking lot only"
                 )
+            fields = _EXTRA_FIELDS[self.kind]
             for name, _value in self.extra:
-                if name not in _EXTRA_FIELDS:
+                if name not in fields:
                     raise ValidationError(
                         f"extra field {name!r} is not a settable "
-                        f"ParkingLotConfig field; expected one of "
-                        f"{sorted(_EXTRA_FIELDS)}"
+                        f"{self.kind} config field; expected one of "
+                        f"{sorted(fields)}"
                     )
         # A float or None seed would key the cache while the builders
         # draw different jitter per process.
@@ -182,6 +190,7 @@ class PlatformSpec:
                 queue=self.queue,
                 tcp=self.tcp if self.tcp is not None else TCPConfig(),
                 seed=self.seed,
+                **self._extra_kwargs(),
             )
         if self.kind == "parking_lot":
             return ParkingLotConfig(
@@ -229,14 +238,13 @@ class PlatformSpec:
             "seed": self.seed,
             "tcp": _tcp_payload(self.tcp),
         }
-        if self.kind == "dumbbell":
+        if self.kind != "testbed":
             payload["queue"] = self.queue
-        elif self.kind == "parking_lot":
-            payload["queue"] = self.queue
-            payload["extra"] = [
-                [name, list(value) if isinstance(value, tuple) else value]
-                for name, value in (self.extra or ())
-            ]
+            if self.kind == "parking_lot" or self.extra:
+                payload["extra"] = [
+                    [name, list(value) if isinstance(value, tuple) else value]
+                    for name, value in (self.extra or ())
+                ]
         else:
             # The test-bed's historical key: its cells keep their cache
             # identity.
@@ -318,6 +326,10 @@ class Cell:
             offered load over the window, binned
             (:attr:`CellResult.arrival_bytes`; packet cells only).  The
             tap is passive, so goodput is unaffected.
+        cwnd_series: when set, the result carries the victim senders'
+            congestion windows over the window
+            (:attr:`CellResult.cwnd_rows`; packet cells only), read
+            through their passive telemetry listener.
     """
 
     platform: PlatformSpec
@@ -330,6 +342,7 @@ class Cell:
     backend: str = "packet"
     fluid_max_step: Optional[float] = None
     arrival_series: bool = False
+    cwnd_series: bool = False
 
     def __post_init__(self) -> None:
         check_non_negative("warmup", self.warmup)
@@ -366,10 +379,11 @@ class Cell:
                 "the fluid backend integrates the full window in "
                 "milliseconds; early exit applies to packet cells only"
             )
-        if self.backend == "fluid" and self.arrival_series:
+        if self.backend == "fluid" and (self.arrival_series
+                                        or self.cwnd_series):
             raise ValidationError(
-                "the arrival series is packet-level; fluid cells cannot "
-                "request it"
+                "the arrival series and the cwnd series are "
+                "packet-level; fluid cells cannot request them"
             )
         if self.fluid_max_step is not None:
             if self.backend != "fluid":
@@ -402,6 +416,8 @@ class Cell:
             payload["fluid_max_step"] = self.fluid_max_step
         if self.arrival_series:
             payload["arrival_series"] = True
+        if self.cwnd_series:
+            payload["cwnd_series"] = True
         return payload
 
 
@@ -426,6 +442,14 @@ class CellResult:
             :data:`ARRIVAL_BIN_WIDTH` bin over
             ``[warmup, warmup + window)``, or ``None`` unless the cell
             set ``arrival_series``.
+        cwnd_rows: ``(time, flow_id, cwnd)`` rows of the victim
+            senders: first each flow's window at ``t = warmup``, in
+            flow order, then one row per window change in the
+            window; ``None`` unless the cell set ``cwnd_series``.
+        mice_launched: short flows the platform's mice workload
+            launched in the window, or ``None`` without one.
+        mice_fcts: the completion times of the mice that finished, in
+            completion order, or ``None`` without a mice workload.
     """
 
     goodput_bytes: float
@@ -433,6 +457,9 @@ class CellResult:
     converged_at: Optional[float] = None
     flow_goodput_bytes: Optional[Tuple[float, ...]] = None
     arrival_bytes: Optional[Tuple[float, ...]] = None
+    cwnd_rows: Optional[Tuple[Tuple[float, int, float], ...]] = None
+    mice_launched: Optional[int] = None
+    mice_fcts: Optional[Tuple[float, ...]] = None
 
 
 def measured_seconds(cell: Cell, result: CellResult) -> float:
@@ -459,9 +486,9 @@ def warmup_key(cell: Cell) -> str:
     to ``t = warmup``: same platform (topology, seeds, stack) and same
     warm-up length.  The attack train/deployment, the window length and
     the conformance detector's rate floor deliberately do not appear --
-    they only act after the prefix ends (the detector and the arrival
-    tap attach at ``t = warmup``, and the detector's verdicts read
-    attack flows, which start there).
+    they only act after the prefix ends (the detector, the arrival tap
+    and the cwnd rows attach at ``t = warmup``, and the detector's
+    verdicts read attack flows, which start there).
     """
     payload = {
         "platform": cell.platform.describe(),
@@ -519,16 +546,18 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
     The observers are attached first, all purely passive: the cell's
     conformance detector, when it has a rate floor, an optional flight
     *recorder* (link arrival taps, sender telemetry pointers, an engine
-    post-run hook), and the bottleneck's arrival series, when the cell
-    asks for it.  Each tapped link has one row list
-    (:func:`~repro.sim.trace.arrival_rows`) that every observer of it
-    reads after the run, so a recorded cell bins and profiles the rows
-    an unrecorded one would.  The measured goodput is bit-identical
-    with or without any of them.  Attachment happens here, after any
-    warm-start fork, because observers must never ride through a
-    snapshot deep copy.  The recorder is detached on the way out, also
-    when the run raises, so its raised GC threshold never outlives the
-    cell.
+    post-run hook), and the bottleneck's arrival series and the
+    victims' cwnd rows, when the cell asks for them.  Each tapped link
+    has one row list (:func:`~repro.sim.trace.arrival_rows`), and the
+    senders one (:func:`~repro.sim.trace.cwnd_rows`), that every
+    observer reads after the run, so a recorded cell bins and profiles
+    the rows an unrecorded one would.  The measured goodput is
+    bit-identical with or without any of them.  Attachment happens
+    here, after any warm-start fork, because observers must never ride
+    through a snapshot deep copy.  The platform's mice workload, if
+    any, starts before the attack.  The recorder is detached on the
+    way out, also when the run raises, so its raised GC threshold never
+    outlives the cell.
     """
     before = net.aggregate_goodput_bytes()
     flows_before = net.goodput_snapshot()
@@ -539,7 +568,15 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         arrivals = arrival_rows(net.bottleneck)
     if cell.rate_floor_bps is not None:
         reverse = arrival_rows(net.reverse_bottleneck)
+    cwnd = None
+    if cell.cwnd_series:
+        cwnd = [(net.sim.now, sender.flow_id, sender.cwnd)
+                for sender in net.senders]
+        changes = cwnd_rows(net.senders)
+    mice = net.mice
     try:
+        if mice is not None:
+            mice.start()
         attack_flow_ids: List[int] = []
         if cell.deployment is not None:
             sources = net.launch_distributed(
@@ -582,6 +619,10 @@ def _measure_warmed(net, cell: Cell, recorder=None) -> CellResult:
         flow_goodput_bytes=tuple(flow_goodput.tolist()),
         arrival_bytes=(_arrival_bins(arrivals, cell)
                        if cell.arrival_series else None),
+        cwnd_rows=None if cwnd is None else tuple(cwnd + changes),
+        mice_launched=None if mice is None else mice.launched,
+        mice_fcts=(None if mice is None else
+                   tuple(record.completion_time for record in mice.records)),
     )
 
 

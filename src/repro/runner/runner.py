@@ -343,18 +343,28 @@ def _placeholder_result(cell: Cell) -> CellResult:
 
     ``goodput_bytes == window`` makes every derived rate exactly 1.0,
     so downstream gain arithmetic stays finite without pretending to be
-    a measurement.  The per-flow goodputs and arrival bins are zeros of
-    the real result's shape, so every driver runs to completion.
+    a measurement.  The per-flow goodputs, arrival bins and initial cwnd
+    rows are zeros of the real result's shape, and a mice workload
+    launched none, so every driver runs to completion.
     """
     packet = cell.backend == "packet"
+    n_flows = cell.platform.n_flows
+    mice = dict(cell.platform.extra or ()).get("mice_interarrival")
     return CellResult(
         goodput_bytes=float(cell.window),
         flagged_sources=0 if cell.rate_floor_bps is not None else None,
-        flow_goodput_bytes=(0.0,) * cell.platform.n_flows if packet else None,
+        flow_goodput_bytes=(0.0,) * n_flows if packet else None,
         arrival_bytes=(
             (0.0,) * math.ceil(cell.window / ARRIVAL_BIN_WIDTH)
             if cell.arrival_series else None
         ),
+        cwnd_rows=(
+            tuple((float(cell.warmup), flow_id, 0.0)
+                  for flow_id in range(n_flows))
+            if cell.cwnd_series else None
+        ),
+        mice_launched=None if mice is None else 0,
+        mice_fcts=None if mice is None else (),
     )
 
 

@@ -18,8 +18,7 @@ the equivalent substrate built from scratch:
 * :mod:`repro.sim.trace` -- a link's one observation hook, its
   arrival rows ``(time, queue_bytes, queue_packets, signed_size,
   flow_id, accepted)``, and their binning into the offered-load
-  series;
-* :mod:`repro.sim.profile` -- cProfile wrapper reporting events/sec.
+  series.
 """
 
 from repro.sim.attacker import CBRSource, PulseAttackSource
@@ -28,7 +27,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet, PacketKind
-from repro.sim.profile import ProfileReport, profile_run
 from repro.sim.queues import (
     CHOKeQueue,
     DropTailQueue,
@@ -62,7 +60,6 @@ __all__ = [
     "Node",
     "Packet",
     "PacketKind",
-    "ProfileReport",
     "PulseAttackSource",
     "QueueDiscipline",
     "REDQueue",
@@ -76,5 +73,4 @@ __all__ = [
     "build_dumbbell",
     "make_droptail_queue",
     "make_red_queue",
-    "profile_run",
 ]

@@ -71,13 +71,13 @@ __all__ = ["Event", "Simulator", "HeapScheduler", "CalendarQueue",
            "total_events_dispatched", "scheduler_builds",
            "AUTO_CALENDAR_DEPTH"]
 
-#: Process-wide count of events dispatched across every Simulator; the
-#: profiling instrumentation (:mod:`repro.sim.profile`) reads this to
-#: compute events/sec for experiments that build simulators internally.
+#: Process-wide count of events dispatched across every Simulator, so
+#: a benchmark or a test can count the events of code that builds its
+#: simulators internally.
 _TOTAL_DISPATCHED = 0
 
 #: Process-wide backend usage: every Simulator counts toward "heap",
-#: and each migration toward "calendar", so a profile report can state
+#: and each migration toward "calendar", so a benchmark can state
 #: which structure actually ran.
 _SCHEDULER_BUILDS = {"heap": 0, "calendar": 0}
 

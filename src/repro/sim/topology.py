@@ -55,9 +55,10 @@ from repro.sim.packet import FULL_PACKET_BYTES, Packet
 from repro.sim.queues import CHOKeQueue, DropTailQueue, REDQueue
 from repro.sim.routing import GraphTopology, aimd_buffer_bytes
 from repro.sim.tcp import TCPConfig, TCPReceiver, TCPSender
+from repro.sim.workload import ShortFlowWorkload
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import mbps, ms
-from repro.util.validate import check_positive
+from repro.util.validate import check_non_negative, check_positive
 
 __all__ = ["Network", "DumbbellConfig", "DumbbellNetwork", "build_dumbbell",
            "ParkingLotConfig", "build_parking_lot",
@@ -215,6 +216,9 @@ class Network:
         jitter_rng: a numpy stream that draws all start jitters in
             one vectorized call; ``None`` draws them one by one from
             *rng*.
+
+    A builder may also set :attr:`mice`, an unstarted short-flow
+    workload whose flows are neither victims nor cross traffic.
     """
 
     def __init__(
@@ -255,6 +259,7 @@ class Network:
         self.stagger = stagger
         self.jitter_rng = jitter_rng
         self.attack_sources: List[PulseAttackSource] = []
+        self.mice: Optional[ShortFlowWorkload] = None
         self._next_attack_flow_id = 10_000
         topo.compile_routes()
         Packet.reset_uids()
@@ -395,6 +400,12 @@ class DumbbellConfig:
     under-gain regime) while a 100 ms pulse overflows it (normal/over
     gain), which is the gradient Section 4.1.1 describes.  ``queue``
     names the bottleneck discipline, a :data:`QUEUE_FACTORIES` key.
+    ``stagger`` is :meth:`Network.start_flows`' default jitter span.
+    ``mice_interarrival``, when set, adds a churn of short transfers
+    (:attr:`Network.mice`): a 100 ms host pair whose
+    :class:`~repro.sim.workload.ShortFlowWorkload` launches flows of 15
+    segments on average, this many seconds apart on average, seeded
+    ``seed + 1``.  It is built but not started.
 
     Frozen (hashable and picklable) so a config can key the experiment
     runner's result cache and ship to worker processes unchanged.
@@ -412,6 +423,8 @@ class DumbbellConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
+    stagger: float = 0.1
+    mice_interarrival: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -419,6 +432,9 @@ class DumbbellConfig:
         check_positive("access_rate_bps", self.access_rate_bps)
         check_positive("bottleneck_rate_bps", self.bottleneck_rate_bps)
         check_positive("buffer_bytes", self.buffer_bytes)
+        check_non_negative("stagger", self.stagger)
+        if self.mice_interarrival is not None:
+            check_positive("mice_interarrival", self.mice_interarrival)
         if not 0 < self.rtt_min <= self.rtt_max:
             raise ConfigurationError(
                 f"need 0 < rtt_min <= rtt_max, got [{self.rtt_min}, {self.rtt_max}]"
@@ -591,14 +607,23 @@ def build_dumbbell(config: Optional[DumbbellConfig] = None) -> DumbbellNetwork:
 
     senders, receivers = tcp_flows(
         topo.sim, zip(sender_nodes, receiver_nodes), cfg.tcp)
-    return DumbbellNetwork(
+    net = DumbbellNetwork(
         cfg, topo, rng, senders=senders, receivers=receivers, rtts=rtts,
         bottleneck=bottleneck, reverse_bottleneck=reverse_bottleneck,
         attacker_node=attacker, attack_sink_node=attack_sink,
         labels={"bottleneck": bottleneck,
                 "bottleneck_reverse": reverse_bottleneck,
                 "attacker": attacker_link},
+        stagger=cfg.stagger,
     )
+    if cfg.mice_interarrival is not None:
+        mice_src, mice_dst = net.add_host_pair(rtt=ms(100))
+        net.mice = ShortFlowWorkload(
+            net.sim, mice_src, mice_dst, tcp=cfg.tcp,
+            mean_size_segments=15.0,
+            mean_interarrival=cfg.mice_interarrival, seed=cfg.seed + 1,
+        )
+    return net
 
 
 # ======================================================================

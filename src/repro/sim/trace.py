@@ -1,4 +1,5 @@
-"""A link's arrival rows and the binned offered-load series.
+"""A link's arrival rows, the senders' cwnd rows, and the binned
+offered-load series.
 
 Every observation of a link comes from one source: its
 ``arrival_tap`` (see :class:`~repro.sim.link.Link`), which collects one
@@ -12,17 +13,24 @@ for attack packets.  Observers share one row list per link
 (total bytes only); the recorder takes its drop records from the rows
 whose ``accepted`` is false, and the conformance detector its per-flow
 profiles from the flow ids.
+
+Senders are observed the same way: their ``telemetry`` listener
+(:class:`CwndTap`) collects one ``(time, flow_id, cwnd)`` row per
+window change into one list that every observer shares
+(:func:`cwnd_rows`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from repro.util.validate import check_positive
 
-__all__ = ["ROW_COLUMNS", "RateMonitor", "arrival_rows"]
+__all__ = ["ROW_COLUMNS", "CwndTap", "RateMonitor", "arrival_rows",
+           "cwnd_rows"]
 
 #: The columns of one arrival row.
 ROW_COLUMNS = ("time", "queue_bytes", "queue_packets", "signed_size",
@@ -41,6 +49,40 @@ def arrival_rows(link) -> list:
     rows: list = []
     link.arrival_tap = rows.append
     return rows
+
+
+class CwndTap:
+    """A ``TCPSender.telemetry`` listener that keeps the cwnd rows.
+
+    cwnd changes happen per ACK, so the sender calls
+    :attr:`cwnd_append` -- the row list's own C-level append --
+    directly; recovery entries are not kept.
+    """
+
+    __slots__ = ("cwnd_rows", "cwnd_append")
+
+    def __init__(self, rows: Optional[list] = None) -> None:
+        #: ``(time, flow_id, cwnd)`` rows, appended by the senders.
+        self.cwnd_rows = [] if rows is None else rows
+        self.cwnd_append = self.cwnd_rows.append
+
+    def on_recovery(self, *_sample) -> None:
+        """Recovery entries are not kept."""
+
+
+def cwnd_rows(senders) -> list:
+    """The list *senders*' telemetry appends cwnd rows to, attaching a
+    :class:`CwndTap` if unset.
+
+    Every observer of the senders reads this one list.
+    """
+    telemetry = senders[0].telemetry
+    if telemetry is not None:
+        return telemetry.cwnd_rows
+    tap = CwndTap()
+    for sender in senders:
+        sender.telemetry = tap
+    return tap.cwnd_rows
 
 
 class RateMonitor:

@@ -132,6 +132,17 @@ class TestResultCache:
         cache.put("ab" + "0" * 62, result)
         assert cache.get("ab" + "0" * 62) == result
 
+    def test_cwnd_and_mice_fields_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = CellResult(goodput_bytes=3.0,
+                            cwnd_rows=((8.0, 0, 12.5), (8.1, 0, 0.1 + 0.2)),
+                            mice_launched=7, mice_fcts=(0.25, 1 / 3))
+        cache.put("cd" + "0" * 62, result)
+        hit = cache.get("cd" + "0" * 62)
+        assert hit == result
+        assert [type(v) for v in hit.cwnd_rows[1]] == [float, int, float]
+        assert type(hit.mice_launched) is int
+
     def test_floats_survive_bit_exactly(self, tmp_path):
         cache = ResultCache(tmp_path)
         value = 0.1 + 0.2  # not representable exactly; repr round-trips

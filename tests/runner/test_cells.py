@@ -111,6 +111,29 @@ class TestPlatformSpec:
             PlatformSpec(kind="parking_lot", n_flows=8, seed=1,
                          extra=((name, 1),))
 
+    @pytest.mark.parametrize("name", ["bogus", "n_flows", "seed"])
+    def test_dumbbell_extra_takes_only_config_fields(self, name):
+        with pytest.raises(ValidationError, match=repr(name)):
+            PlatformSpec(kind="dumbbell", n_flows=2, seed=1,
+                         extra=((name, 1),))
+        with pytest.raises(ValidationError, match="extra"):
+            PlatformSpec(kind="testbed", n_flows=2, seed=1,
+                         extra=(("stagger", 0.0),))
+
+    def test_dumbbell_extra_sets_config_and_keys_only_when_set(self):
+        plain = PlatformSpec(kind="dumbbell", n_flows=2, seed=1)
+        tuned = dataclasses.replace(
+            plain, extra=(("stagger", 0.0), ("mice_interarrival", 0.4)))
+        assert "extra" not in plain.describe()
+        assert tuned.describe() == {
+            **plain.describe(),
+            "extra": [["stagger", 0.0], ["mice_interarrival", 0.4]],
+        }
+        config = tuned.to_config()
+        assert (config.stagger, config.mice_interarrival) == (0.0, 0.4)
+        assert tuned.build().mice is not None
+        assert plain.build().mice is None
+
 
 class TestDeploymentSpec:
     def test_from_attack_duckwraps_trains_and_offsets(self):
@@ -204,6 +227,18 @@ class TestCell:
         with pytest.raises(ValidationError, match="arrival series"):
             Cell(platform=self.platform(), warmup=1.0, window=2.0,
                  backend="fluid", arrival_series=True)
+
+    def test_cwnd_series_keys_only_when_set(self):
+        from repro.runner.cells import warmup_key
+
+        plain = Cell(platform=self.platform(), warmup=1.0, window=2.0)
+        tapped = dataclasses.replace(plain, cwnd_series=True)
+        assert "cwnd_series" not in plain.describe()
+        assert tapped.describe() == {**plain.describe(),
+                                     "cwnd_series": True}
+        assert warmup_key(tapped) == warmup_key(plain)
+        with pytest.raises(ValidationError, match="cwnd series"):
+            dataclasses.replace(plain, backend="fluid", cwnd_series=True)
 
     def test_backend_separates_warmup_groups(self):
         from repro.runner.cells import warmup_key
@@ -318,6 +353,40 @@ class TestCellMeasurements:
             "link.bottleneck.rate"]
         assert rate.column("total_bytes").sum() == pytest.approx(
             sum(recorded.arrival_bytes))
+
+    def test_cwnd_series_starts_at_the_warmup(self):
+        plain = execute_cell(self.cell())
+        tapped = execute_cell(self.cell(cwnd_series=True))
+        rows = tapped.cwnd_rows
+        # Each flow's window at t = warmup, then one row per change.
+        assert [row[:2] for row in rows[:3]] == [(1.0, 0), (1.0, 1), (1.0, 2)]
+        assert len(rows) > 3
+        assert all(1.0 <= t <= 3.0 for t, _flow_id, _w in rows)
+        # The listener is passive: every other field is unchanged.
+        assert dataclasses.replace(tapped, cwnd_rows=None) == plain
+
+    def test_recorded_cell_reads_the_same_cwnd_rows(self):
+        cell = self.cell(cwnd_series=True)
+        recorder = FlightRecorder()
+        recorded = execute_cell(cell, recorder=recorder)
+        assert recorded == execute_cell(cell)
+        cwnd = {s.name: s for s in recorder.harvest()}["tcp.cwnd"]
+        assert cwnd.data.tolist() == [list(row)
+                                      for row in recorded.cwnd_rows[3:]]
+
+    def test_mice_platform_reports_launches_and_fcts(self):
+        platform = PlatformSpec(kind="dumbbell", n_flows=3, seed=11,
+                                extra=(("mice_interarrival", 0.2),))
+        cells = [Cell(platform=platform, warmup=1.0, window=4.0,
+                      train=train) for train in (None, small_train())]
+        from repro.runner.cells import execute_cell_group
+
+        results = execute_cell_group(cells).results
+        assert list(results) == [execute_cell(c) for c in cells]
+        for result in results:
+            assert result.mice_launched > 5
+            assert 0 < len(result.mice_fcts) <= result.mice_launched
+        assert execute_cell(self.cell()).mice_launched is None
 
     def test_forked_cells_match_fresh_execution(self):
         from repro.runner.cells import execute_cell_group

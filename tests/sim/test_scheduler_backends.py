@@ -18,6 +18,7 @@ from repro.sim.engine import (
     HeapScheduler,
     Simulator,
     scheduler_builds,
+    total_events_dispatched,
 )
 from repro.util.errors import SimulationError
 
@@ -36,6 +37,14 @@ class TestSelection:
         # Both start on the heap; the migration counts toward "calendar".
         assert after["heap"] == before["heap"] + 2
         assert after["calendar"] == before["calendar"] + 1
+
+    def test_dispatch_counter_advances(self):
+        before = total_events_dispatched()
+        sim = Simulator()
+        for i in range(50):
+            sim.schedule(0.01 * i, lambda: None)
+        sim.run()
+        assert total_events_dispatched() - before == 50
 
 
 class TestBucketBoundaries:

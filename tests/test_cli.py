@@ -157,9 +157,14 @@ class TestStoreFlag:
         assert any(key.startswith("link.bottleneck.")
                    for key in experiment["metrics"])
         assert any(key.startswith("tcp.") for key in experiment["metrics"])
-        # fig01 simulates directly rather than through runner cells, but
-        # the accounting block is still present.
         assert experiment["runner"]["hit_ratio"] == 0.0
+        with open_readonly(db) as store:
+            [(cells, sources)] = store.query(
+                "SELECT count(*), group_concat(DISTINCT c.source)"
+                " FROM cells c JOIN experiments e"
+                " ON c.experiment_id = e.experiment_id"
+                " WHERE e.name = 'fig01'")[1]
+        assert (cells, sources) == (1, "executed")
 
     def test_appends_across_invocations(self, capsys, tmp_path):
         from repro.obs.store import open_readonly
@@ -476,6 +481,18 @@ class TestDryRunFlag:
         assert main([name, "--dry-run", "--no-cache"]) == 0
         assert total_events_dispatched() == before
         assert "to execute" in capsys.readouterr().out
+
+    def test_all_plans_without_simulating(self, capsys, monkeypatch):
+        """Every experiment measures through runner cells, so a dry run
+        of the whole catalogue dispatches no simulator event."""
+        from repro.sim.engine import total_events_dispatched
+
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        before = total_events_dispatched()
+        assert main(["all", "--dry-run", "--no-cache"]) == 0
+        assert total_events_dispatched() == before
+        out = capsys.readouterr().out
+        assert "fig01:" in out and "mice-elephants:" in out
 
     def test_rejects_observability_sinks(self, capsys, tmp_path):
         for extra in (["--store", str(tmp_path / "s.sqlite")],
