@@ -18,6 +18,7 @@ traffic far exceeds what the aggregate throughput number suggests.
 from __future__ import annotations
 
 import dataclasses
+
 import numpy as np
 
 from repro.core.attack import PulseTrain

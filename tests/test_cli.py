@@ -472,8 +472,10 @@ class TestDryRunFlag:
         assert get_default_runner().stats.executed == 0
         assert not (tmp_path / "fig06.txt").exists()
 
+    # Every experiment measures through runner cells, so a dry run of
+    # the whole catalogue dispatches no simulator event either.
     @pytest.mark.parametrize("name", ["fig03a", "fig03b", "detection",
-                                      "flow-damage"])
+                                      "flow-damage", "all"])
     def test_runner_drivers_plan_without_simulating(self, capsys, name):
         from repro.sim.engine import total_events_dispatched
 
@@ -481,18 +483,6 @@ class TestDryRunFlag:
         assert main([name, "--dry-run", "--no-cache"]) == 0
         assert total_events_dispatched() == before
         assert "to execute" in capsys.readouterr().out
-
-    def test_all_plans_without_simulating(self, capsys, monkeypatch):
-        """Every experiment measures through runner cells, so a dry run
-        of the whole catalogue dispatches no simulator event."""
-        from repro.sim.engine import total_events_dispatched
-
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        before = total_events_dispatched()
-        assert main(["all", "--dry-run", "--no-cache"]) == 0
-        assert total_events_dispatched() == before
-        out = capsys.readouterr().out
-        assert "fig01:" in out and "mice-elephants:" in out
 
     def test_rejects_observability_sinks(self, capsys, tmp_path):
         for extra in (["--store", str(tmp_path / "s.sqlite")],
